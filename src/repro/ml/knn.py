@@ -49,6 +49,11 @@ class _KNNBase:
 class KNeighborsClassifier(_KNNBase):
     """Majority-vote kNN classification."""
 
+    def fit(self, X, y):
+        super().fit(X, y)
+        self.classes_ = np.unique(self._y)
+        return self
+
     def predict(self, X):
         idx = self._neighbor_indices(X)
         labels = self._y[idx]
@@ -59,15 +64,9 @@ class KNeighborsClassifier(_KNNBase):
         return out
 
     def predict_proba(self, X):
-        """Fraction of neighbors per class, columns ordered by sorted class label."""
-        idx = self._neighbor_indices(X)
-        classes = np.unique(self._y)
-        probs = np.zeros((len(idx), len(classes)))
-        for i, row in enumerate(idx):
-            neigh = self._y[row]
-            for j, c in enumerate(classes):
-                probs[i, j] = np.mean(neigh == c)
-        return probs
+        """Fraction of neighbors per class, columns ordered as ``classes_``."""
+        neigh = self._y[self._neighbor_indices(X)]
+        return (neigh[:, :, None] == self.classes_).mean(axis=1)
 
 
 class KNeighborsRegressor(_KNNBase):

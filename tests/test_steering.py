@@ -281,6 +281,26 @@ class TestSteeredCampaign:
         assert len(s["trajectory"]) == s["rounds"]
         assert s["refits"] >= 1
 
+    def test_steering_outcome_is_pinned(self, steered):
+        # Captured with the masked per-threshold CART split search.  The
+        # prefix-sum search must grow the same surrogate trees, so the
+        # allocation, the stop and the estimate are unchanged.  The float
+        # tolerance admits only last-bit differences between numpy builds
+        # (SIMD exp/log); a different tree or allocation moves the
+        # estimate far more.
+        s = steered.steering
+        assert (s["trials_executed"], s["refits"]) == (512, 3)
+        assert s["avf_estimate"] == pytest.approx(0.2589319117096894, rel=1e-12)
+        assert s["ci_halfwidth"] == pytest.approx(0.019331144641678354, rel=1e-12)
+
+    def test_knn_surrogate_refits_and_stops_on_target(self, injector):
+        result = injector.run_steered_campaign(
+            budget=2048, seed=3, config=SteeringConfig(surrogate="knn")
+        )
+        s = result.steering
+        assert s["surrogate"] == "knn"
+        assert s["stop_reason"] == "target" and s["refits"] >= 1
+
     def test_steered_agrees_with_uniform_baseline(self, steered, uniform):
         # Two 95% CIs for the same AVF: their centres must lie within
         # the sum of the half-widths (the intervals overlap).
