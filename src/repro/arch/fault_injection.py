@@ -48,6 +48,7 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,6 +287,12 @@ class FaultInjector:
         are bit-identical by the engine-equivalence contract.  Use
         :meth:`inject_many` to amortize trials over one batched sweep.
         """
+        record = self._scalar_trial(cycle, element, bit)
+        _count_trials([record.outcome.value])
+        return record
+
+    def _scalar_trial(self, cycle, element, bit):
+        """One trial on the scalar replay (or reference) path, uncounted."""
         pc_at, opcode_at = self._injection_context(cycle)
         if self.engine == "reference":
             outcome = self._inject_reference(cycle, element, bit)
@@ -306,7 +313,7 @@ class FaultInjector:
         """
         coords = [(cycle, element, bit) for cycle, element, bit in coords]
         if self.engine != "batched":
-            records = [self.inject_one(*coord) for coord in coords]
+            records = [self._scalar_trial(*coord) for coord in coords]
             self._emit_trials(records)
             return records
         outcomes = [None] * len(coords)
@@ -342,23 +349,21 @@ class FaultInjector:
         return records
 
     def _emit_trials(self, records):
-        """Flight-recorder rows for one executed batch of trials.
+        """Counters and flight-recorder rows for one executed batch of trials.
 
         One ``fi.trials`` event per :meth:`inject_many` call, carrying a
-        compact ``[cycle, element, bit, outcome]`` row per trial — the
-        framing (not one event per trial) is what keeps the per-trial
-        recording overhead inside the perf-smoke budget.  Guarded here
-        so the row list is never even built while recording is off.
+        compact ``[cycle, element, bit, outcome]`` row per trial, and one
+        counter increment per outcome label — the framing (not one event
+        or increment per trial) is what keeps the per-trial recording
+        overhead inside the perf-smoke budget.  Guarded here so nothing
+        is built while recording is off.
         """
         if not records or not obs.enabled():
             return
-        obs.emit(
-            "fi.trials",
-            engine=self.engine,
-            program=self.program.name,
-            items=[[r.cycle, r.element, r.bit, r.outcome.value]
-                   for r in records],
-        )
+        rows = [[r.cycle, r.element, r.bit, r.outcome.value] for r in records]
+        _count_trials([row[3] for row in rows])
+        obs.emit("fi.trials", engine=self.engine, program=self.program.name,
+                 items=rows)
 
     def _batched_engine(self):
         """The lazily-built vectorized engine, shared per process.
@@ -472,8 +477,6 @@ class FaultInjector:
         return self._classify(cpu.output(self.program.output_range), cpu.cycles)
 
     def _record(self, cycle, element, bit, outcome, pc_at, opcode_at):
-        obs.inc("arch.fault_injection.trials")
-        obs.inc(f"arch.fault_injection.outcome.{outcome.value}")
         return InjectionRecord(
             program=self.program.name,
             cycle=cycle,
@@ -628,30 +631,32 @@ class FaultInjector:
                               transport_options=transport_options)
 
 
+def _count_trials(labels):
+    """The trial and per-outcome counters for trials with these outcome labels."""
+    obs.inc("arch.fault_injection.trials", len(labels))
+    for label, n in Counter(labels).items():
+        obs.inc(f"arch.fault_injection.outcome.{label}", n)
+
+
 def _random_chunk(injector, elements, chunk):
     """Execute one trial chunk of a random campaign (process-pool worker).
 
-    Coordinates are drawn per-trial from the chunk's seed streams and
-    then executed together via :meth:`FaultInjector.inject_many`, so
-    the batched engine sees the whole chunk as one sweep while the draw
-    order (hence every record) stays engine- and chunk-independent.
+    Trial ``i`` draws ``(cycle, element, bit)`` from its own seed stream
+    — one vectorized pass over the chunk, equal to per-trial
+    ``trial_rng(seed, i).integers`` calls — and the chunk is executed
+    together via :meth:`FaultInjector.inject_many`, so the batched engine
+    sees it as one sweep while every record stays engine- and
+    chunk-independent.
     """
     with obs.span("arch.fault_injection.chunk", trials=len(chunk)):
-        coords = []
-        for rng in chunk.rngs():
-            cycle = int(rng.integers(0, injector.golden_cycles))
-            element = elements[int(rng.integers(len(elements)))]
-            bit = int(rng.integers(0, 32))
-            coords.append((cycle, element, bit))
+        draws = chunk.integers(injector.golden_cycles, len(elements), 32)
+        coords = [(cycle, elements[e], bit) for cycle, e, bit in draws.tolist()]
         return injector.inject_many(coords)
 
 
 def _element_chunk(injector, element, chunk):
     """Execute one trial chunk of a single-element campaign."""
     with obs.span("arch.fault_injection.chunk", trials=len(chunk)):
-        coords = []
-        for rng in chunk.rngs():
-            cycle = int(rng.integers(0, injector.golden_cycles))
-            bit = int(rng.integers(0, 32))
-            coords.append((cycle, element, bit))
+        draws = chunk.integers(injector.golden_cycles, 32)
+        coords = [(cycle, element, bit) for cycle, bit in draws.tolist()]
         return injector.inject_many(coords)

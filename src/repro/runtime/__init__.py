@@ -76,7 +76,12 @@ from repro.runtime.runner import (
     chunk_bounds,
 )
 from repro.runtime.scheduler import CampaignScheduler, ChunkSource, ListSource
-from repro.runtime.seeding import spawn_trial_seeds, trial_rng, trial_seed_sequence
+from repro.runtime.seeding import (
+    spawn_trial_seeds,
+    trial_integers,
+    trial_rng,
+    trial_seed_sequence,
+)
 from repro.runtime.stats import (
     hoeffding_halfwidth,
     stratified_estimate,
@@ -127,6 +132,7 @@ __all__ = [
     "worker_main",
     "tcp_worker_main",
     "spawn_trial_seeds",
+    "trial_integers",
     "trial_rng",
     "trial_seed_sequence",
     "hoeffding_halfwidth",

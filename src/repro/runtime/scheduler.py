@@ -46,7 +46,7 @@ import numpy as np
 from repro import obs
 from repro.runtime.cache import MISS, stable_digest
 from repro.runtime.manifest import CampaignManifest
-from repro.runtime.seeding import trial_seed_sequence
+from repro.runtime.seeding import trial_integers, trial_seed_sequence
 from repro.runtime.telemetry import ProgressEvent
 from repro.runtime.transports import InlineTransport, TransportContext
 
@@ -103,6 +103,15 @@ class TrialChunk:
     def rngs(self):
         """One independent :class:`numpy.random.Generator` per trial."""
         return [np.random.default_rng(ss) for ss in self.seed_sequences()]
+
+    def integers(self, *highs):
+        """Per-trial ``rng.integers(0, high)`` draws for every trial at once.
+
+        Row ``k`` equals drawing ``highs`` in order from ``self.rngs()[k]``
+        (see :func:`repro.runtime.seeding.trial_integers`), without
+        building a Generator per trial.
+        """
+        return trial_integers(self.seed, self.indices, highs)
 
 
 def chunk_bounds(n_trials, chunk_size=DEFAULT_CHUNK_SIZE):
