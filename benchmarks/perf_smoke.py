@@ -15,15 +15,14 @@ Three bench groups, each with its own trajectory record:
   stream); ``--max-obs-overhead 0.05`` gates the observability layer's
   <5% overhead budget in CI (see ``docs/observability.md``).
 * **dist** (``BENCH_dist.json``) — times a latency-bound campaign
-  (:class:`repro.runtime.loadgen.LatencyWorker`) over the ``fqueue``,
-  ``tcp``, and ``pool`` transports at increasing worker counts,
-  verifying every run bit-identical to the inline reference, plus the
-  scheduler's own per-unit overhead on the inline fast path.
-  ``--min-dist-speedup`` gates the 1→4-worker fqueue *and* tcp
-  throughput gains and ``--max-sched-overhead-us`` the bookkeeping
-  budget; this group is *not* gated by ``--min-speedup`` (the fabric
-  pipelines waiting, it does not vectorize math — see
-  ``docs/distributed.md``).
+  (:class:`repro.runtime.loadgen.LatencyWorker`) over the ``tcp`` and
+  ``pool`` transports at increasing worker counts, verifying every run
+  bit-identical to the inline reference, plus the scheduler's own
+  per-unit overhead on the inline fast path.  ``--min-dist-speedup``
+  gates the 1→4-worker tcp throughput gain and
+  ``--max-sched-overhead-us`` the bookkeeping budget; this group is
+  *not* gated by ``--min-speedup`` (the fabric pipelines waiting, it
+  does not vectorize math — see ``docs/distributed.md``).
 * **steer** (``BENCH_steer.json``) — runs the surrogate-steered and
   uniform sequential campaigns to the same AVF confidence half-width
   and records the trial-count ratio as the group's ``speedup``
@@ -349,28 +348,20 @@ def bench_obs_overhead(n_trials, rounds):
 
 
 def bench_dist_scaling(n_units, rounds):
-    """Fabric scaling: fqueue/tcp/pool throughput vs workers, one core.
+    """Fabric scaling: tcp/pool throughput vs workers, one core.
 
     Each configuration runs the same latency-bound campaign
     (one-trial units, each sleeping ``DIST_UNIT_LATENCY_S``) after a
     warm-up run that spawns its workers, and every measured run is
     checked bit-identical against the inline reference for its seed.
-    The recorded ``speedup`` is the fqueue throughput gain from one
-    worker to ``DIST_WORKER_COUNTS[-1]`` — the fabric's pipelining
-    factor, deliberately independent of CPU count — and
-    ``tcp_speedup`` is the same factor over the socket transport,
-    measured cache-less so result values really cross the wire.
+    The recorded ``speedup`` is the tcp throughput gain from one worker
+    to ``DIST_WORKER_COUNTS[-1]`` — the fabric's pipelining factor,
+    deliberately independent of CPU count — measured cache-less so
+    result values really cross the wire.
     """
-    import shutil
-    import tempfile
-
-    from repro.runtime import CampaignRunner, FaultPolicy, ResultCache
+    from repro.runtime import CampaignRunner, FaultPolicy
     from repro.runtime.loadgen import LatencyWorker
-    from repro.runtime.transports import (
-        FileQueueTransport,
-        PoolTransport,
-        TcpTransport,
-    )
+    from repro.runtime.transports import PoolTransport, TcpTransport
 
     worker = LatencyWorker(DIST_UNIT_LATENCY_S)
     # One unit per task keeps the fabric busy with fine-grained claims;
@@ -405,48 +396,31 @@ def bench_dist_scaling(n_units, rounds):
                 raise AssertionError(f"{label} diverged from inline")
         return float(np.median(times))
 
-    tmp = pathlib.Path(tempfile.mkdtemp(prefix="bench-dist-"))
     result = {
         "inline_tput": n_units / inline_s,
         "n_units": n_units,
         "unit_latency_s": DIST_UNIT_LATENCY_S,
         "worker_counts": list(DIST_WORKER_COUNTS),
     }
-    try:
-        for w in DIST_WORKER_COUNTS:
-            transport = FileQueueTransport(
-                tmp / f"fqueue-{w}", workers=w, poll_s=0.005,
-                worker_poll_s=0.005,
-            )
-            try:
-                elapsed = timed_config(
-                    f"fqueue x{w}", transport, ResultCache(tmp / f"cache-{w}")
-                )
-            finally:
-                transport.shutdown()
-            result[f"fqueue_{w}_tput"] = n_units / elapsed
-        for w in (1, DIST_WORKER_COUNTS[-1]):
-            # cache=None: results stream back over the socket, so the
-            # row times the wire path, not the shared-filesystem one.
-            transport = TcpTransport(workers=w, poll_s=0.005,
-                                     worker_poll_s=0.005)
-            try:
-                elapsed = timed_config(f"tcp x{w}", transport, None)
-            finally:
-                transport.shutdown()
-            result[f"tcp_{w}_tput"] = n_units / elapsed
-        for w in (1, DIST_WORKER_COUNTS[-1]):
-            transport = PoolTransport()
-            try:
-                elapsed = timed_config(f"pool x{w}", transport, None, jobs=w)
-            finally:
-                transport.shutdown()
-            result[f"pool_{w}_tput"] = n_units / elapsed
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    for w in DIST_WORKER_COUNTS:
+        # cache=None: results stream back over the socket, so the row
+        # times the wire path, not the shared-cache one.
+        transport = TcpTransport(workers=w, poll_s=0.005,
+                                 worker_poll_s=0.005)
+        try:
+            elapsed = timed_config(f"tcp x{w}", transport, None)
+        finally:
+            transport.shutdown()
+        result[f"tcp_{w}_tput"] = n_units / elapsed
+    for w in (1, DIST_WORKER_COUNTS[-1]):
+        transport = PoolTransport()
+        try:
+            elapsed = timed_config(f"pool x{w}", transport, None, jobs=w)
+        finally:
+            transport.shutdown()
+        result[f"pool_{w}_tput"] = n_units / elapsed
     top = DIST_WORKER_COUNTS[-1]
-    result["speedup"] = result[f"fqueue_{top}_tput"] / result["fqueue_1_tput"]
-    result["tcp_speedup"] = result[f"tcp_{top}_tput"] / result["tcp_1_tput"]
+    result["speedup"] = result[f"tcp_{top}_tput"] / result["tcp_1_tput"]
     return result
 
 
@@ -645,22 +619,19 @@ def run_obs_benches(n_trials, rounds):
 def run_dist_benches(n_units, rounds):
     entry = _new_entry(
         {"n_units": n_units, "rounds": rounds,
-         "unit_latency_s": DIST_UNIT_LATENCY_S, "cache": True}
+         "unit_latency_s": DIST_UNIT_LATENCY_S, "cache": False}
     )
     for name, bench in DIST_BENCHES.items():
         result = bench(n_units, rounds)
         entry["results"][name] = result
         if name == "dist_scaling":
             tputs = "   ".join(
-                f"fqueue x{w} {result[f'fqueue_{w}_tput']:6.1f}/s"
+                f"tcp x{w} {result[f'tcp_{w}_tput']:6.1f}/s"
                 for w in DIST_WORKER_COUNTS
             )
-            top = DIST_WORKER_COUNTS[-1]
             print(
                 f"{name}: inline {result['inline_tput']:6.1f}/s   {tputs}   "
                 f"scaling {result['speedup']:4.1f}x   "
-                f"tcp x{top} {result[f'tcp_{top}_tput']:6.1f}/s "
-                f"({result['tcp_speedup']:4.1f}x)   "
                 f"({result['n_units']} units of "
                 f"{result['unit_latency_s']*1e3:.0f} ms)"
             )
@@ -803,7 +774,7 @@ def main(argv=None):
     parser.add_argument("--dist-output", default=None, metavar="FILE",
                         help="append the dist-fabric entry to FILE")
     parser.add_argument("--dist-check", default=None, metavar="BASELINE",
-                        help="compare the fqueue scaling factor against "
+                        help="compare the tcp scaling factor against "
                              "BASELINE's newest entry")
     parser.add_argument("--steer-budget", type=int, default=8192,
                         help="trial budget ceiling for the steered-campaign "
@@ -818,7 +789,7 @@ def main(argv=None):
                              "than this factor of trials vs the uniform "
                              "baseline (CI passes 3)")
     parser.add_argument("--min-dist-speedup", type=float, default=None,
-                        help="fail when the 1-to-max-worker fqueue or tcp "
+                        help="fail when the 1-to-max-worker tcp "
                              "throughput gain is below this (CI passes 2)")
     parser.add_argument("--max-sched-overhead-us", type=float, default=None,
                         metavar="US",
@@ -859,22 +830,21 @@ def main(argv=None):
         path = append_entry(args.obs_output, obs_entry,
                             benchmark="obs-overhead")
         print(f"recorded entry -> {path}")
-    # The dist group has its own floors: the fqueue scaling factor and
+    # The dist group has its own floors: the tcp scaling factor and
     # an absolute scheduler-overhead budget.  It deliberately bypasses
     # --min-speedup, which gates vectorization ratios an order of
     # magnitude above what worker pipelining can (or should) reach.
     scaling = dist_entry["results"]["dist_scaling"]
     overhead = dist_entry["results"]["sched_overhead"]
-    if args.min_dist_speedup is not None:
-        for fabric, key in (("fqueue", "speedup"), ("tcp", "tcp_speedup")):
-            if scaling[key] < args.min_dist_speedup:
-                print(
-                    f"FAIL dist_scaling: {fabric} throughput gain "
-                    f"{scaling[key]:.1f}x < required "
-                    f"{args.min_dist_speedup:.1f}x",
-                    file=sys.stderr,
-                )
-                status = 1
+    if (args.min_dist_speedup is not None
+            and scaling["speedup"] < args.min_dist_speedup):
+        print(
+            f"FAIL dist_scaling: tcp throughput gain "
+            f"{scaling['speedup']:.1f}x < required "
+            f"{args.min_dist_speedup:.1f}x",
+            file=sys.stderr,
+        )
+        status = 1
     if (args.max_sched_overhead_us is not None
             and overhead["overhead_us_per_unit"] > args.max_sched_overhead_us):
         print(

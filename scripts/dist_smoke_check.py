@@ -1,17 +1,16 @@
 #!/usr/bin/env python
 """Distributed-fabric acceptance check: worker murder + ``--resume``.
 
-Runs the same small fault-injection campaign four ways, over the
-distributed transport named by ``--transport`` (``fqueue`` or ``tcp``):
+Runs the same small fault-injection campaign four ways, the distributed
+ones over the ``tcp`` transport:
 
 1. **reference** — serial, inline transport, its own cache directory;
-2. **worker-kill** — over the selected transport with two
-   *independently spawned* ``python -m repro worker`` processes
-   (``workers=0``: the transport babysits nothing).  One worker gets a
-   real ``SIGKILL`` the moment it holds a claim; the claim is voided —
-   by the stale-heartbeat scan (fqueue) or the dropped connection
-   (tcp) — and the survivor finishes the campaign, which must match
-   the reference **bit for bit**;
+2. **worker-kill** — over tcp with two *independently spawned*
+   ``python -m repro worker --connect`` processes (``workers=0``: the
+   transport babysits nothing).  One worker gets a real ``SIGKILL`` the
+   moment it holds a claim; the dropped connection voids the claim and
+   the survivor finishes the campaign, which must match the reference
+   **bit for bit**;
 3. **interrupt** — a fresh distributed campaign is cut down by a real
    ``SIGINT`` partway through, leaving a partial manifest behind;
 4. **resume** — the interrupted campaign is re-launched with
@@ -24,11 +23,11 @@ already finished (the check proved nothing), if the survivor did no
 work, or if the resume replayed no journaled units.  This is the
 executable form of the worker-churn contract in ``docs/distributed.md``
 ("Surviving worker churn"); the ``dist-smoke`` CI job runs it on every
-push, once per transport.
+push.
 
 Run locally with::
 
-    PYTHONPATH=src python scripts/dist_smoke_check.py --transport tcp
+    PYTHONPATH=src python scripts/dist_smoke_check.py
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from repro.runtime import (  # noqa: E402
     ChaosSpec,
     ChaosWorker,
     FaultPolicy,
-    FileQueueTransport,
     ResultCache,
     TcpTransport,
 )
@@ -69,8 +67,8 @@ POLICY = FaultPolicy(max_retries=6, backoff_base_s=0.001,
 # claim before the SIGKILL lands, leaving the lease-void recovery path
 # untested.
 SLOW = ChaosSpec(slow_rate=1.0, slow_s=0.1, fail_attempts=10**6, seed=1)
-#: Heartbeat-staleness horizon: how long after the SIGKILL the scheduler
-#: takes to void the dead worker's claims.  Short keeps CI fast.
+#: Heartbeat-staleness horizon: how long a half-open connection may stay
+#: silent before its claims are voided.  Short keeps CI fast.
 STALE_S = 2.0
 #: Idle-poll of the externally spawned workers and of the transport.
 POLL_S = 0.02
@@ -125,59 +123,42 @@ def _run(trials, cache, *, transport=None, resume=False, progress=None,
     return result, injector.last_run_stats
 
 
-def _make_transport(kind, workdir, tag, workers):
-    """Build the distributed transport under test for one leg."""
-    if kind == "tcp":
-        return TcpTransport(workers=workers, poll_s=POLL_S,
-                            worker_poll_s=POLL_S, stale_s=STALE_S)
-    return FileQueueTransport(workdir / f"queue-{tag}", workers=workers,
-                              poll_s=POLL_S, stale_s=STALE_S)
+def _make_transport(workers):
+    """Build the tcp transport for one leg."""
+    return TcpTransport(workers=workers, poll_s=POLL_S,
+                        worker_poll_s=POLL_S, stale_s=STALE_S)
 
 
-def _spawn_external_worker(kind, transport, worker_id):
-    """Launch an independent ``python -m repro worker`` process."""
+def _spawn_external_worker(transport, worker_id):
+    """Launch an independent ``python -m repro worker --connect``."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    if kind == "tcp":
-        host, port = transport.ensure_listening()
-        env[AUTH_ENV] = transport.auth  # the handshake secret
-        target = ["--connect", f"{host}:{port}"]
-    else:
-        target = [str(transport.queue_dir)]
+    env[AUTH_ENV] = transport.auth  # the handshake secret
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker", *target,
+        [sys.executable, "-m", "repro", "worker",
+         "--connect", transport.address,
          "--id", worker_id, "--poll", str(POLL_S)],
         env=env,
     )
 
 
-def _wait_for_claim(kind, transport, worker_id, alive, timeout_s=30.0):
+def _wait_for_claim(transport, worker_id, alive, timeout_s=30.0):
     """Block until ``worker_id`` holds a claim; False if the run ends first."""
     deadline = time.time() + timeout_s
-    if kind == "tcp":
-        while time.time() < deadline and alive():
-            if worker_id in transport.claim_holders():
-                return True
-            time.sleep(0.005)
-        return False
-    claimed = Path(transport.queue_dir) / "claimed"
-    marker = f"@{worker_id}."
     while time.time() < deadline and alive():
-        if claimed.is_dir() and any(
-            marker in p.name for p in claimed.iterdir()
-        ):
+        if worker_id in transport.claim_holders():
             return True
         time.sleep(0.005)
     return False
 
 
-def _worker_kill_leg(kind, trials, workdir, ref_digest):
+def _worker_kill_leg(trials, workdir, ref_digest):
     """Leg 2: SIGKILL a claiming external worker; survivors must finish."""
     cache = ResultCache(workdir / "cache-kill")
-    transport = _make_transport(kind, workdir, "kill", workers=0)
-    victim = _spawn_external_worker(kind, transport, "victim")
-    survivor = _spawn_external_worker(kind, transport, "survivor")
+    transport = _make_transport(workers=0)
+    victim = _spawn_external_worker(transport, "victim")
+    survivor = _spawn_external_worker(transport, "survivor")
     outcome = {}
 
     def drive():
@@ -192,7 +173,7 @@ def _worker_kill_leg(kind, trials, workdir, ref_digest):
     thread = threading.Thread(target=drive)
     try:
         thread.start()
-        claimed = _wait_for_claim(kind, transport, "victim", thread.is_alive)
+        claimed = _wait_for_claim(transport, "victim", thread.is_alive)
         if not claimed:
             print("FAIL: victim worker never held a claim mid-run",
                   file=sys.stderr)
@@ -238,11 +219,11 @@ def _worker_kill_leg(kind, trials, workdir, ref_digest):
         transport.shutdown()
 
 
-def _resume_leg(kind, trials, workdir, ref_digest):
+def _resume_leg(trials, workdir, ref_digest):
     """Legs 3+4: SIGINT a distributed campaign, resume it, compare."""
     cache = ResultCache(workdir / "cache-resume")
     interrupted = False
-    transport = _make_transport(kind, workdir, "int", workers=2)
+    transport = _make_transport(workers=2)
     try:
         _run(trials, cache, transport=transport, progress=_SigintAfter(3))
     except KeyboardInterrupt:
@@ -250,7 +231,7 @@ def _resume_leg(kind, trials, workdir, ref_digest):
     finally:
         transport.shutdown()
     if not interrupted:
-        print(f"FAIL: SIGINT did not interrupt the {kind} campaign",
+        print("FAIL: SIGINT did not interrupt the tcp campaign",
               file=sys.stderr)
         return 1
     manifests = list((cache.path / "manifests").glob("*.jsonl"))
@@ -260,7 +241,7 @@ def _resume_leg(kind, trials, workdir, ref_digest):
         return 1
     print(f"  interrupted after SIGINT; manifest: {manifests[0].name}")
 
-    transport = _make_transport(kind, workdir, "resume", workers=2)
+    transport = _make_transport(workers=2)
     try:
         resumed, stats = _run(trials, cache, transport=transport,
                               resume=True)
@@ -274,29 +255,26 @@ def _resume_leg(kind, trials, workdir, ref_digest):
               "before any unit completed?)", file=sys.stderr)
         return 1
     if digest != ref_digest:
-        print(f"FAIL: resumed {kind} campaign is not bit-identical to the "
+        print("FAIL: resumed tcp campaign is not bit-identical to the "
               "serial reference", file=sys.stderr)
         return 1
-    print(f"  OK: SIGINT + --resume over {kind} is bit-identical")
+    print("  OK: SIGINT + --resume over tcp is bit-identical")
     return 0
 
 
-def check(kind, trials, workdir):
+def check(trials, workdir):
     workdir = Path(workdir)
-    print(f"[dist-smoke] transport={kind} trials={trials}")
+    print(f"[dist-smoke] transport=tcp trials={trials}")
     reference, _ = _run(trials, ResultCache(workdir / "cache-reference"))
     ref_digest = campaign_digest(reference)
     print(f"  reference digest: {ref_digest}")
-    status = _worker_kill_leg(kind, trials, workdir, ref_digest)
-    status |= _resume_leg(kind, trials, workdir, ref_digest)
+    status = _worker_kill_leg(trials, workdir, ref_digest)
+    status |= _resume_leg(trials, workdir, ref_digest)
     return status
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--transport", choices=("fqueue", "tcp"),
-                        default="fqueue",
-                        help="distributed transport under test")
     parser.add_argument("--trials", type=int, default=320,
                         help="campaign size (default 320; 20 units of 16)")
     parser.add_argument("--workdir", default=None,
@@ -305,9 +283,9 @@ def main(argv=None):
 
     if args.workdir is not None:
         Path(args.workdir).mkdir(parents=True, exist_ok=True)
-        return check(args.transport, args.trials, args.workdir)
+        return check(args.trials, args.workdir)
     with tempfile.TemporaryDirectory(prefix="dist-smoke-") as workdir:
-        return check(args.transport, args.trials, workdir)
+        return check(args.trials, workdir)
 
 
 if __name__ == "__main__":

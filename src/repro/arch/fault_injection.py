@@ -587,7 +587,7 @@ class FaultInjector:
         cache key, so wrapped campaigns must produce the same records.
 
         ``transport``/``transport_options`` select the execution
-        backend (``"inline"``, ``"pool"``, ``"fqueue"``, or a
+        backend (``"inline"``, ``"pool"``, ``"tcp"``, or a
         :class:`repro.runtime.Transport` instance); every backend
         yields bit-identical records.  See ``docs/distributed.md``.
         """

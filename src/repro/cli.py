@@ -13,8 +13,8 @@ Usage::
     python -m repro report --diff A B        # compare two run records
     python -m repro report runs/<id> --trace-out t.json --prom-out m.prom
     python -m repro watch runs/<id>          # live view of a running campaign
-    python -m repro worker /shared/q         # file-queue campaign worker
-    python -m repro fi --transport fqueue --queue-dir /shared/q --workers 4
+    python -m repro worker --connect HOST:PORT   # external campaign worker
+    python -m repro fi --transport tcp --listen 0.0.0.0:7777 --workers 4
 
 Campaign experiments (``fig5``/``fig6``/``wall``/``fi``) execute
 through :mod:`repro.runtime`: ``--jobs N`` fans trial chunks out over N
@@ -31,15 +31,13 @@ experiment in a :class:`repro.obs.RunRecorder`: spans, metrics, and
 campaign accounting land in a JSONL run record that ``python -m repro
 report <run-dir>`` renders (see ``docs/observability.md``).
 ``--transport`` selects the execution backend (``inline``/``pool``/
-``fqueue``/``tcp``); with ``fqueue``, ``python -m repro worker
-<queue-dir>`` processes — spawned by ``--workers N`` or launched by
-hand on any host sharing the filesystem — claim and execute the
-campaign's tasks; with ``tcp``, the scheduler listens on ``--listen
-HOST:PORT`` and ``python -m repro worker --connect HOST:PORT``
-processes dial in from anywhere with a route (no shared filesystem
-needed — see ``docs/distributed.md``).  The CLI
-prints the same series the benchmark harness checks; the full
-statistical versions live under ``benchmarks/``.
+``tcp``); with ``tcp``, the scheduler listens on ``--listen HOST:PORT``
+and ``python -m repro worker --connect HOST:PORT`` processes — spawned
+by ``--workers N`` or launched by hand on any host with a route — dial
+in and execute the campaign's tasks (no shared filesystem needed — see
+``docs/distributed.md``).  The CLI prints the same series the
+benchmark harness checks; the full statistical versions live under
+``benchmarks/``.
 """
 
 from __future__ import annotations
@@ -74,20 +72,7 @@ def _runtime_kwargs(args):
         "resume": args.resume,
     }
     transport = getattr(args, "transport", "auto")
-    if transport == "fqueue":
-        if args.queue_dir is None:
-            raise SystemExit("--transport fqueue needs --queue-dir")
-        if args.no_cache:
-            raise SystemExit(
-                "the fqueue transport needs the result cache (workers hand "
-                "results back through it); drop --no-cache"
-            )
-        kwargs["transport"] = "fqueue"
-        kwargs["transport_options"] = {
-            "queue_dir": args.queue_dir,
-            "workers": args.workers,
-        }
-    elif transport == "tcp":
+    if transport == "tcp":
         from repro.runtime.transports.tcp import parse_address
 
         try:
@@ -481,17 +466,11 @@ def build_parser():
              "(default 2)",
     )
     runtime.add_argument(
-        "--transport", choices=("auto", "inline", "pool", "fqueue", "tcp"),
+        "--transport", choices=("auto", "inline", "pool", "tcp"),
         default="auto",
         help="campaign execution backend (default auto: inline for --jobs 1, "
-             "process pool otherwise; fqueue needs --queue-dir and the "
-             "result cache; tcp listens on --listen for 'repro worker "
-             "--connect' processes — see docs/distributed.md)",
-    )
-    runtime.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help="shared queue directory for --transport fqueue ('python -m "
-             "repro worker DIR' processes claim tasks from it)",
+             "process pool otherwise; tcp listens on --listen for 'repro "
+             "worker --connect' processes — see docs/distributed.md)",
     )
     runtime.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
@@ -508,8 +487,8 @@ def build_parser():
     )
     runtime.add_argument(
         "--workers", type=_jobs_count, default=1, metavar="N",
-        help="fqueue/tcp workers to spawn and babysit (0 = rely on "
-             "externally launched 'repro worker' processes; default 1)",
+        help="tcp workers to spawn and babysit (0 = rely on externally "
+             "launched 'repro worker' processes; default 1)",
     )
     runtime.add_argument(
         "--record", default=None, metavar="DIR",
@@ -678,21 +657,14 @@ def _export_record(record, args):
 def build_worker_parser():
     parser = argparse.ArgumentParser(
         prog="repro worker",
-        description="Run one campaign worker: either claim task files from "
-                    "a shared queue directory (QUEUE_DIR) or dial a tcp "
-                    "scheduler (--connect HOST:PORT) and execute the tasks "
-                    "it streams down (see docs/distributed.md).",
-    )
-    parser.add_argument(
-        "queue_dir", nargs="?", default=None, metavar="QUEUE_DIR",
-        help="the shared queue directory a scheduler publishes tasks into "
-             "(--transport fqueue --queue-dir QUEUE_DIR); omit when using "
-             "--connect",
+        description="Run one campaign worker: dial a tcp scheduler "
+                    "(--connect HOST:PORT) and execute the tasks it "
+                    "streams down (see docs/distributed.md).",
     )
     parser.add_argument(
         "--connect", default=None, metavar="HOST:PORT",
-        help="dial a tcp-transport scheduler instead of claiming from a "
-             "queue directory (--transport tcp --listen HOST:PORT side)",
+        help="the scheduler to dial (its --transport tcp --listen "
+             "HOST:PORT address)",
     )
     parser.add_argument(
         "--id", default=None, metavar="WORKER_ID",
@@ -704,48 +676,29 @@ def build_worker_parser():
         help="idle-poll interval while there is no work (default 0.05s)",
     )
     parser.add_argument(
-        "--once", action="store_true",
-        help="drain the queue and exit instead of waiting for more work "
-             "(queue-directory mode only)",
-    )
-    parser.add_argument(
         "--auth", default=None, metavar="SECRET",
         help="shared handshake secret of the scheduler being dialed "
-             "(--connect mode only; default $REPRO_TCP_AUTH)",
+             "(default $REPRO_TCP_AUTH)",
     )
     return parser
 
 
 def run_worker(argv):
-    """``python -m repro worker``: file-queue or tcp campaign worker."""
+    """``python -m repro worker``: tcp campaign worker."""
     args = build_worker_parser().parse_args(argv)
-    if (args.queue_dir is None) == (args.connect is None):
-        print("worker needs exactly one of QUEUE_DIR or --connect HOST:PORT",
-              file=sys.stderr)
+    if args.connect is None:
+        print("repro worker needs --connect HOST:PORT (the scheduler's "
+              "--listen address)", file=sys.stderr)
         return 2
-    if args.connect is not None:
-        if args.once:
-            print("--once applies only to queue-directory workers",
-                  file=sys.stderr)
-            return 2
-        from repro.runtime.transports.tcp import parse_address, tcp_worker_main
+    from repro.runtime.transports.tcp import parse_address, tcp_worker_main
 
-        try:
-            parse_address(args.connect)
-        except ValueError as exc:
-            print(f"--connect: {exc}", file=sys.stderr)
-            return 2
-        return tcp_worker_main(
-            args.connect, worker_id=args.id, poll_s=args.poll,
-            auth=args.auth,
-        )
-    if args.auth is not None:
-        print("--auth applies only to --connect workers", file=sys.stderr)
+    try:
+        parse_address(args.connect)
+    except ValueError as exc:
+        print(f"--connect: {exc}", file=sys.stderr)
         return 2
-    from repro.runtime import worker_main
-
-    return worker_main(
-        args.queue_dir, worker_id=args.id, poll_s=args.poll, once=args.once
+    return tcp_worker_main(
+        args.connect, worker_id=args.id, poll_s=args.poll, auth=args.auth,
     )
 
 
@@ -807,7 +760,7 @@ def run_list(args):
     print("  watch      Tail a recorded run's event stream live "
           "(python -m repro watch <run-dir>)")
     print("  worker     Run a campaign worker (python -m repro worker "
-          "<queue-dir> | --connect HOST:PORT)")
+          "--connect HOST:PORT)")
     print(
         "fig5/fig6/wall run on batched numpy Monte Carlo kernels; pass "
         "--reference-kernel\nto force the scalar reference path "
@@ -845,7 +798,6 @@ def _run_recorded(name, args):
         "unit_timeout": args.unit_timeout,
         "max_retries": args.max_retries,
         "transport": args.transport,
-        "queue_dir": args.queue_dir,
         "listen": args.listen,
         "workers": args.workers,
         "steer": args.steer,

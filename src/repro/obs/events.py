@@ -35,11 +35,11 @@ Emitted event types (see ``docs/observability.md`` for the full table):
 ``unit.submit/finish``    one unit of work entered / left execution
                           (``finish`` carries ``worker``, the executing
                           worker id, for straggler attribution)
-``unit.claim``            a file-queue worker leased a unit (``worker``
+``unit.claim``            a tcp worker leased a unit (``worker``
                           names the claimant; starts its lease clock)
 ``unit.retry/timeout``    fault-tolerance activity on a unit
 ``cache.hit/miss``        unit-level result-cache traffic during the scan
-``worker.spawn/respawn``  execution-backend lifecycle (pool or queue)
+``worker.spawn/respawn``  execution-backend lifecycle (pool or tcp)
 ``worker.heartbeat``      worker liveness, attributed by ``worker`` id —
                           emitted per executed unit in-process, and
                           relayed from queue workers' heartbeat files

@@ -22,9 +22,8 @@ they all share:
     and the manifest journal, over a pluggable transport.
 :mod:`repro.runtime.transports`
     The execution backends: ``inline`` (serial reference), ``pool``
-    (local process pool), ``fqueue`` (shared-filesystem queue claimed by
-    independent ``repro worker`` processes).  See
-    ``docs/distributed.md``.
+    (local process pool), ``tcp`` (a socket served to independent
+    ``repro worker --connect`` processes).  See ``docs/distributed.md``.
 :mod:`repro.runtime.policy`
     :class:`FaultPolicy` — per-unit wall-clock timeouts, bounded retries
     with deterministically jittered exponential backoff, and
@@ -90,14 +89,12 @@ from repro.runtime.stats import (
 )
 from repro.runtime.telemetry import ProgressEvent, ProgressLog, print_progress
 from repro.runtime.transports import (
-    FileQueueTransport,
     InlineTransport,
     PoolTransport,
     TcpTransport,
     Transport,
     create_transport,
     tcp_worker_main,
-    worker_main,
 )
 
 __all__ = [
@@ -126,10 +123,8 @@ __all__ = [
     "Transport",
     "InlineTransport",
     "PoolTransport",
-    "FileQueueTransport",
     "TcpTransport",
     "create_transport",
-    "worker_main",
     "tcp_worker_main",
     "spawn_trial_seeds",
     "trial_integers",

@@ -102,10 +102,10 @@ class ChaosSpec:
 def _in_pool_worker():
     """Whether this process is a worker (safe to ``os._exit``).
 
-    Pool workers are ``multiprocessing`` children; file-queue workers
-    are free-standing processes that mark themselves with the
+    Pool workers are ``multiprocessing`` children; tcp workers are
+    free-standing processes that mark themselves with the
     ``REPRO_WORKER`` environment flag (set by ``repro worker`` before it
-    claims its first task).  Either way, hard-exiting kills only the
+    dials the scheduler).  Either way, hard-exiting kills only the
     worker — never a scheduler or a test process.
     """
     if multiprocessing.parent_process() is not None:

@@ -14,7 +14,7 @@ deterministic per-trial draw, so runs stay bit-identical across
 transports while the timing is dominated by the wait.  It lives here,
 in an importable module, because benchmark scripts run as ``__main__``
 — whose attributes a spawned ``python -m repro worker`` process can
-never resolve when unpickling a file-queue payload (see
+never resolve when unpickling a tcp campaign payload (see
 ``docs/distributed.md``).
 """
 

@@ -79,9 +79,9 @@ class FaultPolicy:
         execution for the remaining units.
     max_requeues:
         Times one unit may be *requeued* (lost through no fault of its
-        own: its pool died around it, its queue claimant stopped
-        heartbeating) before the loss is treated as a failure and
-        charged against the retry budget.  Innocent losses normally
+        own: its pool died around it, its tcp worker disconnected or
+        stopped heartbeating) before the loss is treated as a failure
+        and charged against the retry budget.  Innocent losses normally
         carry no penalty, but a unit that deterministically kills its
         worker produces requeues, not errors — without a cap it would
         requeue-and-respawn forever.  The default is generous (ordinary
@@ -103,10 +103,10 @@ class FaultPolicy:
         grouping is pinned to one unit per task so the per-unit deadline
         stays meaningful.
     lease_timeout_s:
-        File-queue lease budget per unit: once a worker claims a task,
-        it must report within ``lease_timeout_s * len(task)`` seconds or
-        the scheduler voids the lease and re-dispatches the units (the
-        timeout counts against each unit's retry budget).  ``None``
+        Remote-worker lease budget per unit: once a tcp worker claims a
+        task, it must report within ``lease_timeout_s * len(task)``
+        seconds or the scheduler voids the lease and re-dispatches the
+        units (the timeout counts against each unit's retry budget).  ``None``
         falls back to ``unit_timeout_s``; if both are ``None``, leases
         never expire (a lost worker is then only recovered by
         killing + resuming the campaign).

@@ -6,9 +6,8 @@ campaigns, the Fig. 5/6 Monte Carlo sweeps, per-element vulnerability
 tables).  It feeds units of work to a
 :class:`~repro.runtime.scheduler.CampaignScheduler` driving a pluggable
 :class:`~repro.runtime.transports.base.Transport` (``inline`` serial
-reference, ``pool`` process pool, ``fqueue`` shared-filesystem worker
-queue, ``tcp`` socket stream for shared-nothing hosts) and guarantees
-four properties the studies rely on:
+reference, ``pool`` process pool, ``tcp`` socket stream to external
+workers) and guarantees four properties the studies rely on:
 
 **Determinism** — trial ``i`` draws from the seed stream
 ``SeedSequence(entropy=seed, spawn_key=(i,))`` (see
@@ -28,8 +27,8 @@ worker count changes.
 **Fault tolerance** — the paper's own checkpoint/rollback discipline,
 applied to the harness: unit failures are retried with exponential
 backoff under a :class:`~repro.runtime.policy.FaultPolicy`; units
-exceeding their wall-clock budget (or file-queue lease) are declared
-hung and retried; a :class:`~concurrent.futures.process.
+exceeding their wall-clock budget (or a remote worker's lease) are
+declared hung and retried; a :class:`~concurrent.futures.process.
 BrokenProcessPool` (worker segfault/OOM kill) respawns the pool up to a
 cap and then degrades gracefully to inline execution.  Completed units
 are journaled through the cache plus a
@@ -121,16 +120,16 @@ class CampaignRunner:
     jobs:
         Worker processes.  ``1`` (default) runs inline; ``0`` or ``None``
         means one per CPU.  Ignored by transports that manage their own
-        capacity (``fqueue`` scales with its workers, not ``jobs``).
+        capacity (``tcp`` scales with its workers, not ``jobs``).
     chunk_size:
         Trials per :class:`TrialChunk` in :meth:`run_trials`.  Keep it
         constant across runs that should share cache entries.
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; ``None``
         disables memoization (and with it the campaign manifest, so
-        interrupted runs are not resumable).  The ``fqueue`` transport
-        requires a cache — it doubles as the worker→scheduler data
-        channel.
+        interrupted runs are not resumable).  ``tcp`` with
+        ``shared_cache=True`` requires one — it doubles as the
+        worker→scheduler data channel.
     progress:
         Optional callback receiving one
         :class:`~repro.runtime.telemetry.ProgressEvent` per finished unit
@@ -153,13 +152,13 @@ class CampaignRunner:
         ``<cache.path>/manifests`` when a cache is attached.
     transport:
         Execution backend: a registry name (``"inline"``, ``"pool"``,
-        ``"fqueue"``, ``"tcp"``), a :class:`~repro.runtime.transports.base.
+        ``"tcp"``), a :class:`~repro.runtime.transports.base.
         Transport` instance (reused across runs; the caller owns its
         :meth:`shutdown`), or ``None`` to pick automatically from
         ``jobs`` (the historical behaviour).
     transport_options:
         Constructor kwargs when ``transport`` is a registry name — e.g.
-        ``{"queue_dir": ..., "workers": 4}`` for ``fqueue``.
+        ``{"workers": 4, "port": 7777}`` for ``tcp``.
     """
 
     def __init__(self, jobs=1, chunk_size=DEFAULT_CHUNK_SIZE, cache=None,

@@ -24,8 +24,8 @@ execution.  The loop:
    timeout/lease expiry, pool respawn accounting, degraded-serial
    fallback, progress events.
 
-Because the scheduler journals through the manifest and (for the
-file-queue backend) reads values back from the shared result cache, a
+Because the scheduler journals through the manifest itself (workers
+only execute, or at most store values into the shared result cache), a
 campaign completes bit-identically to the inline reference no matter
 how many workers died along the way — surviving workers alone, or a
 ``--resume`` after killing everything, finish the same records.
@@ -70,7 +70,7 @@ MIN_ADMISSION_WINDOW = 256
 
 #: Per-process run counter folded into task ids.  Stale-report immunity
 #: rests on task ids never recurring: a worker that outlives one run
-#: (tcp connections and fqueue claimants survive a resume) must not see
+#: (tcp connections stay warm across a resume) must not see
 #: a later run reuse ``<pid>-000001``, or its zombie report would be
 #: mistaken for the new task's.
 _RUN_SEQ = itertools.count()

@@ -8,7 +8,6 @@ name      backend
 ========  ==========================================================
 inline    synchronous in-process execution (the serial reference)
 pool      local :class:`~concurrent.futures.ProcessPoolExecutor`
-fqueue    shared-filesystem queue claimed by ``repro worker`` processes
 tcp       socket stream served to ``repro worker --connect`` processes
 ========  ==========================================================
 """
@@ -22,7 +21,6 @@ from repro.runtime.transports.base import (
     UnitOutcome,
     execute_task_units,
 )
-from repro.runtime.transports.fqueue import FileQueueTransport, worker_main
 from repro.runtime.transports.inline import LOCAL_WORKER, InlineTransport
 from repro.runtime.transports.pool import PoolTransport
 from repro.runtime.transports.tcp import TcpTransport, tcp_worker_main
@@ -31,7 +29,6 @@ from repro.runtime.transports.tcp import TcpTransport, tcp_worker_main
 TRANSPORTS = {
     "inline": InlineTransport,
     "pool": PoolTransport,
-    "fqueue": FileQueueTransport,
     "tcp": TcpTransport,
 }
 
@@ -40,8 +37,7 @@ def create_transport(name, **kwargs):
     """Build a transport by registry name (see :data:`TRANSPORTS`).
 
     ``kwargs`` go to the backend constructor — e.g.
-    ``create_transport("fqueue", queue_dir=..., workers=4)`` or
-    ``create_transport("tcp", host="0.0.0.0", port=7777)``.  Options the
+    ``create_transport("tcp", host="0.0.0.0", port=7777, workers=4)``.  Options the
     backend does not accept raise :class:`ValueError` naming the backend
     (not a bare ``TypeError``), so a typo in ``transport_options``
     surfaces as a configuration error.
@@ -68,8 +64,6 @@ __all__ = [
     "InlineTransport",
     "LOCAL_WORKER",
     "PoolTransport",
-    "FileQueueTransport",
-    "worker_main",
     "TcpTransport",
     "tcp_worker_main",
     "TRANSPORTS",

@@ -13,10 +13,6 @@ execution backends stay swappable:
 ``pool``
     :class:`~repro.runtime.transports.pool.PoolTransport` — a
     :class:`~concurrent.futures.ProcessPoolExecutor` on the local host.
-``fqueue``
-    :class:`~repro.runtime.transports.fqueue.FileQueueTransport` — a
-    shared-filesystem queue directory claimed by independently spawned
-    ``python -m repro worker <queue-dir>`` processes.
 ``tcp``
     :class:`~repro.runtime.transports.tcp.TcpTransport` — a listening
     socket served to ``python -m repro worker --connect HOST:PORT``
@@ -79,7 +75,7 @@ class UnitOutcome:
         ``error`` holds the exception; counts against the retry budget.
     ``"requeue"``
         The unit was lost through no fault of its own (its pool died
-        around it, its queue task was abandoned); the scheduler re-runs
+        around it, its worker's connection dropped); the scheduler re-runs
         it without a retry penalty.
     """
 
@@ -120,7 +116,7 @@ class Transport:
     ``{"kind": "degraded"}``
         The backend gave up; the scheduler falls back to inline.
     ``{"kind": "claim", "task_id": t, "worker": w}``
-        A queue worker leased a task (starts its lease clock).
+        A remote worker leased a task (starts its lease clock).
     ``{"kind": "heartbeat", "worker": w, "lag_s": s, ...}``
         A worker liveness report, attributed by worker id.
     """
@@ -134,7 +130,7 @@ class Transport:
 
     #: When the scheduler arms a task's wall-clock deadline: ``"submit"``
     #: (work starts promptly — process pool), ``"claim"`` (work starts
-    #: when a worker leases the task — file queue), or ``None`` (no
+    #: when a worker leases the task — tcp), or ``None`` (no
     #: enforceable deadline — inline).
     deadline_mode = None
 
@@ -191,7 +187,7 @@ def execute_task_units(worker, task, collect, worker_id):
     """Run one task's units in order; the shared worker-side loop.
 
     Used verbatim by every backend (inline in-process, pool workers,
-    queue workers), which is what keeps their results bit-identical:
+    tcp workers), which is what keeps their results bit-identical:
     the unit callable sees exactly the same payloads in the same order
     no matter where it runs.  Each unit is timed (feeding the
     scheduler's adaptive task sizing) and, when ``collect`` is set,

@@ -1,15 +1,22 @@
 """TCP socket transport: campaign tasks over a stream, no shared disk.
 
-The :class:`~repro.runtime.transports.fqueue.FileQueueTransport` needs a
-filesystem in common; this transport needs only a route.  The scheduler
-listens on a ``host:port``, independently launched
-``python -m repro worker --connect HOST:PORT`` processes dial in, and
-everything — tasks, claims, results, heartbeats, stop — travels as
-length-prefixed, versioned, CRC-checked pickle frames (see
+The transport for workers outside the scheduler's process pool: on the
+same host over localhost, or on any host with a route to the scheduler
+(no filesystem in common needed).  The scheduler listens on a
+``host:port``, independently launched ``python -m repro worker
+--connect HOST:PORT`` processes dial in, and everything — tasks,
+claims, results, heartbeats, stop — travels as length-prefixed,
+versioned, CRC-checked pickle frames (see
 :mod:`~repro.runtime.transports.wire`).
 
-The claim/lease protocol is the fqueue one, translated from renames to
-messages, so the scheduler's fault machinery is reused unchanged:
+Every frame is small (hello, task, claim, heartbeat, result), so both
+ends set ``TCP_NODELAY``: with Nagle's algorithm on, a frame that
+follows an unacknowledged one waits for the peer's delayed ACK, which
+stalls every task by tens of milliseconds.
+
+The scheduler drives the protocol through its claim-lease machinery
+(``deadline_mode="claim"``, requeues bounded by
+``policy.max_requeues``):
 
 * **authentication** — the messages are pickles, and unpickling bytes
   from an unauthenticated socket would hand arbitrary code execution to
@@ -26,22 +33,24 @@ messages, so the scheduler's fault machinery is reused unchanged:
   answers with the campaign payload (the pickled unit callable) and
   counts the worker as capacity (``worker.connect`` event).
 * **claim** — the worker announces a task the moment it starts
-  executing it; the scheduler arms the same per-unit lease it arms for
-  a file-queue claim (``deadline_mode="claim"``).
+  executing it; the scheduler arms a per-unit lease from that moment
+  (``policy.lease_timeout_s``), so a worker that hangs holding a task
+  has it voided and re-dispatched.
 * **result streaming** — with no shared :class:`ResultCache`, unit
   values ride the wire inside the result message, chunk-framed when
-  large.  With ``shared_cache=True`` the fqueue contract applies
-  instead: values go ``put``/verify into the cache and the message
+  large.  With ``shared_cache=True`` (hosts that share a filesystem)
+  values go ``put``/verify into the cache instead and the message
   carries only ``stored=True`` digest references.
 * **liveness** — each worker heartbeats from a background thread
   (independent of task length).  A dropped connection requeues the
-  worker's outstanding tasks immediately — the stream's advantage over
-  the queue directory, where only staleness can prove death — while
-  heartbeat staleness still covers half-open connections that never
-  deliver an EOF.  Staleness is judged by scheduler-local arrival of
-  new heartbeat values, never by comparing clocks across hosts.
+  worker's outstanding tasks immediately, while heartbeat staleness
+  covers half-open connections that never deliver an EOF.  Staleness
+  is judged by scheduler-local arrival of new heartbeat values, never
+  by comparing clocks across hosts.
 * **stale-report immunity** — requeued units travel under fresh task
   ids, so a zombie's late result names an unknown task and is dropped.
+  Results are digest-addressed and deterministic, so even a racing
+  zombie's shared-cache write is bit-identical to the retry's.
 
 Workers reconnect with jittered exponential backoff when the scheduler
 goes away (a ``--resume`` reuses them), drain gracefully on ``stop``,
@@ -73,11 +82,6 @@ from repro.runtime.transports.base import (
     _OutcomeBuffer,
     execute_task_units,
 )
-from repro.runtime.transports.fqueue import (
-    HEARTBEAT_INTERVAL_S,
-    HEARTBEAT_STALE_S,
-    WORKER_ENV_FLAG,
-)
 from repro.runtime.transports.wire import (
     AUTH_NONCE_BYTES,
     KIND_AUTH,
@@ -92,6 +96,17 @@ from repro.runtime.transports.wire import (
     encode_message,
     verify_auth_response,
 )
+
+#: Seconds between a worker's heartbeat messages.
+HEARTBEAT_INTERVAL_S = 1.0
+
+#: A worker whose heartbeats stop arriving for this long is presumed
+#: dead (its connection is dropped and its tasks requeue).
+HEARTBEAT_STALE_S = 5.0
+
+#: Environment flag set inside workers (``runtime.chaos`` uses it to
+#: tell "safe to hard-exit" apart from "would kill the scheduler").
+WORKER_ENV_FLAG = "REPRO_WORKER"
 
 #: Environment variable carrying the shared handshake secret to workers
 #: (spawned workers inherit it automatically; external ones must be
@@ -127,6 +142,19 @@ def parse_address(address):
     if not 0 <= port <= 65535:
         raise ValueError(f"address {address!r} port is out of range")
     return host, port
+
+
+def _no_delay(sock):
+    """Turn off Nagle's algorithm on a connected socket (see module doc)."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _dial(host, port):
+    """Worker side: one connect attempt to the scheduler, Nagle off."""
+    return _no_delay(
+        socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
+    )
 
 
 def _worker_env(auth):
@@ -178,8 +206,8 @@ class TcpTransport(Transport):
         respawned, and ``policy.max_requeues`` bounds a workload that
         keeps killing them.
     queue_depth:
-        Tasks outstanding per live worker — the same backpressure knob
-        as fqueue's.
+        Tasks outstanding per live worker — the backpressure knob that
+        keeps each worker's next task queued behind its current one.
     poll_s:
         Scheduler-side select granularity while waiting for traffic.
     worker_poll_s:
@@ -187,7 +215,7 @@ class TcpTransport(Transport):
     stale_s:
         Heartbeat age past which a connection is presumed half-open and
         dropped (its tasks requeue).  Judged from scheduler-local
-        arrival of new heartbeat values, exactly as fqueue does.
+        arrival of new heartbeat values, never by comparing clocks.
     shared_cache:
         When true, workers write values into the campaign's shared
         :class:`ResultCache` and results carry ``stored=True`` digest
@@ -298,7 +326,7 @@ class TcpTransport(Transport):
         except Exception:
             # The callable cannot travel; publish an empty payload.  The
             # scheduler's picklability probe hits the same failure before
-            # the first submission and swaps to inline, as fqueue does.
+            # the first submission and swaps to inline.
             payload_pickle = None
         cache_dir = None
         if self.shared_cache and ctx.cache is not None:
@@ -462,6 +490,7 @@ class TcpTransport(Transport):
         except OSError:
             return
         sock.settimeout(0.0)
+        _no_delay(sock)
         conn = _Conn(sock, addr)
         self._conns.append(conn)
         self._selector.register(sock, selectors.EVENT_READ, conn)
@@ -654,11 +683,11 @@ class TcpTransport(Transport):
     def _drop_conn(self, conn, reason):
         """Forget a connection and requeue everything it was holding.
 
-        A closed stream is proof of death the queue directory never
-        gets: the tasks come back as ``requeue`` outcomes immediately,
-        with no staleness wait, and are re-dispatched under fresh ids —
-        so a late result from a zombie (it reconnected, or the kernel
-        delivered its last write) names an unknown task and is dropped.
+        A closed stream is proof of death: the tasks come back as
+        ``requeue`` outcomes immediately, with no staleness wait, and
+        are re-dispatched under fresh ids — so a late result from a
+        zombie (it reconnected, or the kernel delivered its last write)
+        names an unknown task and is dropped.
         """
         if conn not in self._conns:
             return
@@ -798,16 +827,16 @@ class TcpTransport(Transport):
 class _WireHeartbeat:
     """Background heartbeat sender: liveness decoupled from task length.
 
-    The mirror of fqueue's heartbeat file thread: a daemon thread sends
-    a heartbeat message every :data:`HEARTBEAT_INTERVAL_S` under the
-    connection's send lock, so a unit that computes for minutes still
-    proves its worker alive, while hard death kills the thread with the
-    process and the scheduler sees EOF (or staleness).  The send
-    socket's timeout is fixed at connection setup and never mutated, so
-    the two threads cannot race each other's deadlines; a send that
-    fails anyway may have written a partial frame, after which the
-    stream has no trustworthy boundary left — the connection is shut
-    down so the main loop reconnects on a clean one.
+    A daemon thread sends a heartbeat message every
+    :data:`HEARTBEAT_INTERVAL_S` under the connection's send lock, so a
+    unit that computes for minutes still proves its worker alive, while
+    hard death kills the thread with the process and the scheduler sees
+    EOF (or staleness).  The send socket's timeout is fixed at
+    connection setup and never mutated, so the two threads cannot race
+    each other's deadlines; a send that fails anyway may have written a
+    partial frame, after which the stream has no trustworthy boundary
+    left — the connection is shut down so the main loop reconnects on a
+    clean one.
     """
 
     def __init__(self, sock, lock, worker_id):
@@ -875,8 +904,8 @@ class _Campaign:
         try:
             self.worker_fn = pickle.loads(payload_pickle)
         except Exception as exc:
-            # Mirror fqueue: a payload that cannot load here must fail
-            # loudly per task, not strand the scheduler.
+            # A payload that cannot load here must fail loudly per
+            # task, not strand the scheduler.
             self.error = (
                 f"worker could not load the campaign payload: {exc!r}"
             )
@@ -1126,9 +1155,7 @@ def tcp_worker_main(address, worker_id=None, poll_s=0.05, auth=None):
     try:
         while True:
             try:
-                sock = socket.create_connection(
-                    (host, port), timeout=CONNECT_TIMEOUT_S
-                )
+                sock = _dial(host, port)
             except OSError:
                 failures += 1
                 delay = min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2 ** (failures - 1))
@@ -1164,8 +1191,8 @@ def tcp_worker_main(address, worker_id=None, poll_s=0.05, auth=None):
             # again — the scheduler may just be restarting for a resume.
             time.sleep(BACKOFF_BASE_S * (0.5 + rng.random() / 2))
     finally:
-        # Restore the caller's environment (worker_main parity): a
-        # leaked worker flag would let chaos exit fates kill the host.
+        # Restore the caller's environment: a leaked worker flag
+        # would let chaos exit fates kill the host.
         if prior is None:
             os.environ.pop(WORKER_ENV_FLAG, None)
         else:

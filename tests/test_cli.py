@@ -218,21 +218,44 @@ class TestMain:
 
 
 class TestWorkerCLI:
-    """``repro worker`` argument validation (both queue-dir and tcp modes)."""
+    """``repro worker`` argument validation (``--connect`` is its mode)."""
 
     def test_needs_exactly_one_mode(self, capsys):
+        """Dialing a tcp scheduler is the one mode: without --connect the
+        worker exits 2 with a one-line message, and a positional
+        argument is an argparse error."""
         from repro.cli import run_worker
 
         assert run_worker([]) == 2
-        assert "exactly one of" in capsys.readouterr().err
-        assert run_worker(["/tmp/q", "--connect", "h:1"]) == 2
-        assert "exactly one of" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "needs --connect HOST:PORT" in err
+        assert len(err.strip().splitlines()) == 1
+        with pytest.raises(SystemExit) as exc:
+            run_worker(["/tmp/q", "--connect", "h:1"])
+        assert exc.value.code == 2
 
     def test_once_rejected_for_tcp_workers(self, capsys):
         from repro.cli import run_worker
 
-        assert run_worker(["--connect", "h:1", "--once"]) == 2
-        assert "--once applies only" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_worker(["--connect", "h:1", "--once"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --once" in capsys.readouterr().err
+
+    def test_tcp_is_the_only_external_transport(self, capsys):
+        """Any name outside inline/pool/tcp is an argparse error (exit 2)."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        choices = next(
+            action.choices for action in parser._actions
+            if action.dest == "transport"
+        )
+        assert tuple(choices) == ("auto", "inline", "pool", "tcp")
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["fi", "--transport", "carrier-pigeon"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_malformed_connect_address_is_a_clean_error(self, capsys):
         from repro.cli import run_worker
@@ -369,3 +392,4 @@ class TestReportAndWatchCLI:
         out = capsys.readouterr().out
         assert "report" in out and "diff" in out
         assert "watch" in out
+        assert "worker --connect HOST:PORT" in out

@@ -1,9 +1,8 @@
-"""Distributed campaign fabric: transport parity, file-queue and tcp
-chaos and worker churn, concurrent cache writers, engine-ladder reuse,
-and per-worker attribution (repro.runtime.{scheduler,transports} et
-al.)."""
+"""Distributed campaign fabric: transport parity, tcp chaos and worker
+churn, liveness and stale-report handling, concurrent cache writers,
+engine-ladder reuse, and per-worker attribution
+(repro.runtime.{scheduler,transports} et al.)."""
 
-import json
 import os
 import pickle
 import selectors
@@ -22,7 +21,6 @@ from repro.runtime import (
     ChaosSpec,
     ChaosWorker,
     FaultPolicy,
-    FileQueueTransport,
     InlineTransport,
     PoolTransport,
     ResultCache,
@@ -31,8 +29,8 @@ from repro.runtime import (
 )
 from repro.runtime.cache import MISS
 from repro.runtime.transports import Task
-from repro.runtime.transports.fqueue import worker_main
-from repro.runtime.transports.tcp import AUTH_ENV, _Conn
+from repro.runtime.transports.base import TransportContext
+from repro.runtime.transports.tcp import AUTH_ENV, _Conn, _dial
 from repro.runtime.transports.wire import (
     KIND_MSG,
     WireError,
@@ -56,24 +54,60 @@ def _reference(n_trials=60, seed=5, chunk_size=6):
     )
 
 
-def _fqueue_options(tmp_path, workers, **extra):
-    options = {
-        "queue_dir": str(tmp_path / "queue"),
-        "workers": workers,
-        "stale_s": STALE,
-    }
+def _tcp_options(workers, **extra):
+    options = {"workers": workers, "stale_s": STALE}
     options.update(extra)
     return options
 
 
+def _external_worker(address, worker_id, auth):
+    """Launch ``repro worker --connect`` as an independent process."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env[AUTH_ENV] = auth
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "worker",
+            "--connect", address, "--id", worker_id, "--poll", "0.02",
+        ],
+        env=env, stdout=subprocess.DEVNULL,
+    )
+
+
+def _peer_transport(**kwargs):
+    """A listening transport plus one authenticated, hello'd fake peer.
+
+    Returns ``(transport, conn, theirs)``: ``conn`` is the scheduler's
+    view of the peer, ``theirs`` the socket the test writes through.
+    """
+    transport = TcpTransport(workers=0, **kwargs)
+    transport.ensure_listening()
+    ours, theirs = socket.socketpair()
+    ours.settimeout(0.0)
+    conn = _Conn(ours, ("peer", 0))
+    conn.authed = True
+    conn.worker_id = "rogue"
+    transport._conns.append(conn)
+    transport._selector.register(ours, selectors.EVENT_READ, conn)
+    transport._token = "tok"
+    return transport, conn, theirs
+
+
+def _assign(transport, conn, task_id="t1", indices=(0, 1)):
+    """Put a task in flight on ``conn`` without a real dispatch."""
+    task = Task(task_id=task_id, indices=tuple(indices),
+                items=tuple((i,) for i in indices),
+                digests=(None,) * len(indices))
+    transport._inflight[task_id] = task
+    conn.assigned.add(task_id)
+    return task
+
+
 class TestTransportRegistry:
-    def test_create_transport_by_name(self, tmp_path):
+    def test_create_transport_by_name(self):
         assert isinstance(create_transport("inline"), InlineTransport)
         assert isinstance(create_transport("pool"), PoolTransport)
-        assert isinstance(
-            create_transport("fqueue", queue_dir=str(tmp_path / "q")),
-            FileQueueTransport,
-        )
 
     def test_unknown_transport_name_lists_known(self):
         with pytest.raises(ValueError, match="inline"):
@@ -85,14 +119,6 @@ class TestTransportRegistry:
         with pytest.raises(ValueError, match="transport_options"):
             CampaignRunner(transport_options={"workers": 2})
 
-    def test_fqueue_requires_cache(self, tmp_path):
-        runner = CampaignRunner(
-            jobs=2, transport="fqueue",
-            transport_options={"queue_dir": str(tmp_path / "q")},
-        )
-        with pytest.raises(ValueError, match="cache"):
-            runner.run_trials(_draw_chunk, 12, seed=5)
-
     def test_create_tcp_by_name(self):
         transport = create_transport("tcp", workers=1)
         assert isinstance(transport, TcpTransport)
@@ -100,9 +126,9 @@ class TestTransportRegistry:
 
     @pytest.mark.parametrize("name,kwargs", [
         ("inline", {"workers": 2}),
-        ("pool", {"queue_dir": "/nope"}),
-        ("fqueue", {"queue_dir": "/tmp/q", "listen": "host:1"}),
-        ("tcp", {"queue_dir": "/nope"}),
+        ("pool", {"listen": "host:1"}),
+        ("tcp", {"listen": "host:1"}),
+        ("tcp", {"once": True}),
     ])
     def test_bad_options_name_the_backend(self, name, kwargs):
         """A kwarg the backend's constructor rejects surfaces as a
@@ -145,17 +171,18 @@ class TestDescribeRoundTrip:
             )
             assert self._last_note() == {"transport": "pool", "workers": 2}
 
-    def test_fqueue(self, tmp_path):
+    def test_tcp_shared_cache(self, tmp_path):
         with obs.collecting():
             CampaignRunner(
                 jobs=1, cache=ResultCache(tmp_path / "cache"),
-                transport="fqueue",
-                transport_options=_fqueue_options(tmp_path, 1),
+                policy=FaultPolicy(**FAST), transport="tcp",
+                transport_options=_tcp_options(1, shared_cache=True),
             ).run_trials(_draw_chunk, 12, seed=5)
             info = self._last_note()
-        assert info["transport"] == "fqueue"
-        assert info["queue_dir"] == str(tmp_path / "queue")
+        assert info["transport"] == "tcp"
+        assert info["shared_cache"] is True
         assert info["workers"] == 1
+        assert info["queue_depth"] == 2
 
     def test_tcp_reports_bound_address(self):
         """The recorded address is the *bound* port, not the 0 the
@@ -181,19 +208,9 @@ class TestTransportParity:
         assert runner.run_trials(_draw_chunk, 60, seed=5) == reference
         assert runner.stats.transport == "pool"
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_fqueue_matches_inline(self, tmp_path, workers):
-        reference = _reference()
-        runner = CampaignRunner(
-            jobs=workers, chunk_size=6, cache=ResultCache(tmp_path / "cache"),
-            transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, workers),
-        )
-        assert runner.run_trials(_draw_chunk, 60, seed=5) == reference
-        assert runner.stats.transport == "fqueue"
-        assert runner.stats.workers  # outcomes attribute their executor
-
-    def test_fqueue_map_matches_inline(self, tmp_path):
+    def test_tcp_map_with_shared_cache_matches_inline(self, tmp_path):
+        """Mapped items keyed by ``item_keys``: workers store each value
+        under the item's digest, the scheduler reads it back."""
         items = [float(i) for i in range(18)]
         keys = [("i", i) for i in range(18)]
         reference = CampaignRunner(jobs=1).map(
@@ -201,26 +218,26 @@ class TestTransportParity:
         )
         runner = CampaignRunner(
             jobs=2, cache=ResultCache(tmp_path / "cache"),
-            transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, 2),
+            policy=FaultPolicy(**FAST), transport="tcp",
+            transport_options=_tcp_options(2, shared_cache=True),
         )
         assert runner.map(_square, items, key=("sq",), item_keys=keys) == reference
 
     def test_explicit_transport_instance_is_not_shut_down(self, tmp_path):
-        transport = FileQueueTransport(
-            tmp_path / "queue", workers=1, stale_s=STALE
-        )
+        """A caller-owned transport survives close(); its warm worker
+        switches to the second run's payload and shared cache."""
+        transport = TcpTransport(workers=1, stale_s=STALE, shared_cache=True)
         try:
             runner = CampaignRunner(
                 jobs=1, chunk_size=6, cache=ResultCache(tmp_path / "cache"),
-                transport=transport,
+                policy=FaultPolicy(**FAST), transport=transport,
             )
             first = runner.run_trials(_draw_chunk, 30, seed=5)
             # The spawned worker survives close() for reuse by a second run.
             assert transport.worker_pids()
             second = CampaignRunner(
                 jobs=1, chunk_size=6, cache=ResultCache(tmp_path / "cache2"),
-                transport=transport,
+                policy=FaultPolicy(**FAST), transport=transport,
             ).run_trials(_draw_chunk, 30, seed=6)
             assert first == _reference(n_trials=30)
             assert second == _reference(n_trials=30, seed=6)
@@ -229,64 +246,20 @@ class TestTransportParity:
         assert not transport.worker_pids()
 
 
-class TestFqueueChaos:
-    """Deterministic worker kill/hang fates via runtime.chaos: the
-    surviving campaign must match the clean inline reference exactly."""
-
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_chaos_fates_bit_identical(self, tmp_path, workers):
-        reference = _reference(n_trials=40, chunk_size=5)
-        spec = ChaosSpec(
-            raise_rate=0.2, exit_rate=0.1, hang_rate=0.1, slow_rate=0.1,
-            hang_s=0.2, slow_s=0.01, fail_attempts=1, seed=7,
-        )
-        worker = ChaosWorker(_draw_chunk, spec, tmp_path / "chaos")
-        runner = CampaignRunner(
-            jobs=workers, chunk_size=5, cache=ResultCache(tmp_path / "cache"),
-            policy=FaultPolicy(max_retries=6, **FAST),
-            transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, workers),
-        )
-        assert runner.run_trials(worker, 40, seed=5) == reference
-        assert runner.stats.transport == "fqueue"
-
-    def test_worker_death_requeues_without_retry_penalty(self, tmp_path):
-        """A killed claimant's units come back as requeues, not errors:
-        a zero-retry policy still completes the campaign."""
-        reference = _reference(n_trials=20, chunk_size=4)
-        spec = ChaosSpec(exit_rate=0.15, fail_attempts=1, seed=3)
-        worker = ChaosWorker(_draw_chunk, spec, tmp_path / "chaos")
-        runner = CampaignRunner(
-            jobs=2, chunk_size=4, cache=ResultCache(tmp_path / "cache"),
-            policy=FaultPolicy(max_retries=0, **FAST),
-            transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, 2),
-        )
-        assert runner.run_trials(worker, 20, seed=5) == reference
-
-
 class TestWorkerChurn:
-    """Kill any subset of fqueue workers mid-run: survivors (or a
+    """Kill any subset of tcp workers mid-run: survivors (or a
     --resume) complete bit-identically to the inline reference."""
-
-    def _external_worker(self, queue_dir, worker_id):
-        return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker", str(queue_dir),
-                "--id", worker_id, "--poll", "0.02",
-            ],
-            stdout=subprocess.DEVNULL,
-        )
 
     def test_survivors_complete_after_midrun_kill(self, tmp_path):
         reference = _reference(n_trials=60, chunk_size=3)
-        queue_dir = tmp_path / "queue"
         # Slow every unit down so the kill lands mid-run.
         spec = ChaosSpec(slow_rate=1.0, slow_s=0.05, fail_attempts=10 ** 6)
         worker = ChaosWorker(_draw_chunk, spec, tmp_path / "chaos")
-        transport = FileQueueTransport(queue_dir, workers=0, stale_s=STALE)
+        transport = TcpTransport(workers=0, stale_s=STALE, shared_cache=True)
+        address = transport.address
         procs = [
-            self._external_worker(queue_dir, wid) for wid in ("ext1", "ext2")
+            _external_worker(address, wid, transport.auth)
+            for wid in ("ext1", "ext2")
         ]
         out = {}
 
@@ -303,25 +276,26 @@ class TestWorkerChurn:
         try:
             # Wait until the victim has claimed work, then kill it cold.
             deadline = time.monotonic() + 20
-            claimed = queue_dir / "claimed"
             while time.monotonic() < deadline:
-                if claimed.is_dir() and any(claimed.glob("*@ext1.task")):
+                if "ext1" in transport.claim_holders():
                     break
-                time.sleep(0.02)
+                time.sleep(0.005)
             os.kill(procs[0].pid, signal.SIGKILL)
             procs[0].wait()
             thread.join(timeout=120)
             assert not thread.is_alive()
         finally:
+            transport.shutdown()
             for proc in procs:
                 if proc.poll() is None:
                     proc.terminate()
                     proc.wait()
-            transport.shutdown()
         assert out["records"] == reference
         assert "ext2" in out["stats"].workers
 
     def test_midrun_interrupt_then_resume_is_bit_identical(self, tmp_path):
+        """The resume runs on a fresh scheduler and fresh workers: only
+        the cache and its manifest carry over."""
         reference = _reference(n_trials=60, chunk_size=4)
         cache = ResultCache(tmp_path / "cache")
 
@@ -335,13 +309,13 @@ class TestWorkerChurn:
         with pytest.raises(KeyboardInterrupt):
             CampaignRunner(
                 jobs=2, chunk_size=4, cache=cache, progress=interrupt_after,
-                policy=FaultPolicy(**FAST), transport="fqueue",
-                transport_options=_fqueue_options(tmp_path, 2),
+                policy=FaultPolicy(**FAST), transport="tcp",
+                transport_options=_tcp_options(2),
             ).run_trials(_draw_chunk, 60, seed=5)
         resumed = CampaignRunner(
             jobs=2, chunk_size=4, cache=cache, resume=True,
-            policy=FaultPolicy(**FAST), transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, 2),
+            policy=FaultPolicy(**FAST), transport="tcp",
+            transport_options=_tcp_options(2),
         )
         assert resumed.run_trials(_draw_chunk, 60, seed=5) == reference
         assert resumed.stats.resumed
@@ -355,75 +329,46 @@ def _slow_chunk(chunk):
 
 class TestLivenessProtocol:
     """Heartbeat liveness must not depend on task length, worker-host
-    clocks, leftover STOP markers, or a worker-killing unit's patience."""
+    clocks, or a worker-killing unit's patience."""
 
-    def test_unit_slower_than_stale_budget_is_not_requeued(self, tmp_path):
+    def test_unit_slower_than_stale_budget_is_not_requeued(self):
         """The background heartbeat thread keeps a busy worker alive:
         one unit longer than stale_s must execute exactly once, not be
         presumed dead and requeued forever."""
         reference = _reference(n_trials=6, chunk_size=6)
         runner = CampaignRunner(
-            jobs=1, chunk_size=6, cache=ResultCache(tmp_path / "cache"),
-            policy=FaultPolicy(**FAST), transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, 1, stale_s=1.5),
+            jobs=1, chunk_size=6, policy=FaultPolicy(**FAST),
+            transport="tcp", transport_options=_tcp_options(1, stale_s=1.5),
         )
         assert runner.run_trials(_slow_chunk, 6, seed=5) == reference
         assert runner.stats.requeues == 0
 
-    def test_leftover_stop_marker_is_swept_on_open(self, tmp_path):
-        """A STOP file surviving a killed shutdown() must not drain
-        every worker of the next campaign into a respawn hot loop."""
-        queue_dir = tmp_path / "queue"
-        queue_dir.mkdir()
-        (queue_dir / "STOP").write_text("stop\n")
-        runner = CampaignRunner(
-            jobs=1, chunk_size=6, cache=ResultCache(tmp_path / "cache"),
-            policy=FaultPolicy(**FAST), transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, 1),
-        )
-        assert runner.run_trials(_draw_chunk, 12, seed=5) == _reference(12)
-        assert not (queue_dir / "STOP").exists()
-
-    def test_skewed_worker_clock_does_not_void_claims(self, tmp_path):
+    def test_skewed_worker_clock_does_not_void_claims(self):
         """Staleness uses scheduler-local heartbeat arrival times: a
         worker whose wall clock is an hour behind must stay live as
         long as it keeps producing new heartbeat values."""
-        queue_dir = tmp_path / "queue"
-        transport = FileQueueTransport(queue_dir, workers=0, stale_s=0.3)
-
-        class _Ctx:
-            worker = _square
-            collect = False
-            policy = FaultPolicy()
-            cache = ResultCache(tmp_path / "cache")
-            jobs = 1
-
-        def skewed_beat(seq):
-            (queue_dir / "workers" / "wskew.json").write_text(json.dumps({
-                "worker": "wskew", "pid": 12345,
-                "t": time.time() - 3600.0 + seq,  # an hour behind, ticking
-                "units_done": seq,
-            }))
-
-        transport.open(_Ctx())
+        transport, conn, theirs = _peer_transport(stale_s=0.3)
         try:
-            task = Task(task_id="t-skew", indices=(0,), items=(2.0,),
-                        digests=("d-skew",))
-            transport.submit(task)
-            todo = queue_dir / "todo" / "t-skew.task"
-            todo.rename(queue_dir / "claimed" / "t-skew@wskew.task")
-            skewed_beat(0)
-            transport.poll(timeout=0.0)  # observe claim + first heartbeat
-            for seq in (1, 2):
-                # Longer than stale_s AND the heartbeat-scan throttle
-                # (HEARTBEAT_INTERVAL_S / 2), so each poll really does
-                # re-read the skewed heartbeat before judging the claim.
-                time.sleep(0.6)
-                skewed_beat(seq)
+            _assign(transport, conn, task_id="t-skew", indices=(0,))
+            theirs.sendall(encode_message({
+                "kind": "claim", "token": "tok", "task": "t-skew",
+                "worker": "rogue",
+            }))
+            for seq in range(3):
+                # Longer than stale_s: only the heartbeat that arrives
+                # before each poll can keep the connection alive.
+                time.sleep(0.4)
+                theirs.sendall(encode_message({
+                    "kind": "heartbeat", "worker": "rogue", "pid": 12345,
+                    "t": time.time() - 3600.0 + seq,  # an hour behind
+                    "units_done": seq,
+                }))
                 outcomes, _ = transport.poll(timeout=0.0)
                 assert not any(o.kind == "requeue" for o in outcomes)
+            assert conn in transport._conns
             assert "t-skew" in transport._claims
         finally:
+            theirs.close()
             transport.shutdown()
 
     def test_worker_killing_unit_exhausts_requeue_budget(self, tmp_path):
@@ -433,10 +378,9 @@ class TestLivenessProtocol:
         spec = ChaosSpec(exit_rate=1.0, fail_attempts=10 ** 6, seed=3)
         worker = ChaosWorker(_draw_chunk, spec, tmp_path / "chaos")
         runner = CampaignRunner(
-            jobs=1, chunk_size=4, cache=ResultCache(tmp_path / "cache"),
+            jobs=1, chunk_size=4,
             policy=FaultPolicy(max_retries=0, max_requeues=1, **FAST),
-            transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, 1, stale_s=1.5),
+            transport="tcp", transport_options=_tcp_options(1),
         )
         with pytest.raises(RuntimeError, match="requeued"):
             runner.run_trials(worker, 4, seed=5)
@@ -449,31 +393,8 @@ class TestLivenessProtocol:
 
 
 class TestQueueProtocol:
-    """Worker-side mechanics of the queue directory."""
-
-    def test_worker_once_drains_published_tasks(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        transport = FileQueueTransport(tmp_path / "queue", workers=0)
-        runner = CampaignRunner(
-            jobs=1, chunk_size=6, cache=cache, transport=transport,
-        )
-        out = {}
-        thread = threading.Thread(
-            target=lambda: out.update(
-                records=runner.run_trials(_draw_chunk, 12, seed=5)
-            )
-        )
-        thread.start()
-        deadline = time.monotonic() + 20
-        todo = tmp_path / "queue" / "todo"
-        while time.monotonic() < deadline and not (
-            todo.is_dir() and any(todo.glob("*.task"))
-        ):
-            time.sleep(0.01)
-        while thread.is_alive():
-            worker_main(tmp_path / "queue", worker_id="wonce", once=True)
-            thread.join(timeout=0.05)
-        assert out["records"] == _reference(n_trials=12)
+    """Task-queue edge cases over tcp: payloads that cannot travel and
+    reports for tasks the scheduler no longer holds."""
 
     def test_unpicklable_worker_falls_back_to_inline(self, tmp_path):
         """A callable that will not pickle at all trips the scheduler's
@@ -484,45 +405,45 @@ class TestQueueProtocol:
 
         runner = CampaignRunner(
             jobs=1, chunk_size=6, cache=ResultCache(tmp_path / "cache"),
-            transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, 1),
+            policy=FaultPolicy(**FAST), transport="tcp",
+            transport_options=_tcp_options(1, shared_cache=True),
         )
         records = runner.run_trials(local_worker, 12, seed=5)
         assert records == [float(i) for i in range(12)]
         assert runner.stats.fallback_reason is not None
 
-    def test_unloadable_payload_reports_failure_not_hang(self, tmp_path):
+    def test_unloadable_payload_reports_failure_not_hang(self):
         """A payload that pickles in the scheduler but will not rebuild
         in a worker process must fail the campaign loudly, not hang."""
         runner = CampaignRunner(
-            jobs=1, chunk_size=6, cache=ResultCache(tmp_path / "cache"),
-            policy=FaultPolicy(max_retries=1, **FAST),
-            transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, 1),
+            jobs=1, chunk_size=6, policy=FaultPolicy(max_retries=1, **FAST),
+            transport="tcp", transport_options=_tcp_options(1),
         )
         with pytest.raises(RuntimeError, match="payload"):
             runner.run_trials(_RemotelyUnloadable(), 12, seed=5)
 
-    def test_stale_done_report_is_ignored(self, tmp_path):
-        transport = FileQueueTransport(tmp_path / "queue", workers=0)
-
-        class _Ctx:
-            worker = _square
-            collect = False
-            policy = FaultPolicy()
-            cache = ResultCache(tmp_path / "cache")
-            jobs = 1
-
-        transport.open(_Ctx())
-        done = tmp_path / "queue" / "done"
-        (done / "zombie-000001.done").write_bytes(pickle.dumps({
-            "task": "zombie-000001", "worker": "wz",
-            "units": [{"index": 0, "ok": True, "elapsed_s": 0.0}],
-        }))
-        outcomes, _ = transport.poll(timeout=0.0)
-        assert outcomes == []
-        assert not any(done.glob("*.done"))
-        transport.shutdown()
+    def test_stale_done_report_is_ignored(self):
+        """A zombie's late result — for a task id that expired and was
+        re-dispatched, or from a prior run's token — is dropped without
+        an outcome and without dropping the (healthy) connection."""
+        transport, conn, theirs = _peer_transport()
+        try:
+            live = _assign(transport, conn, task_id="live", indices=(0,))
+            for token, task_id in (("tok", "zombie-000001"),
+                                   ("old-run", "live")):
+                theirs.sendall(encode_message({
+                    "kind": "result", "token": token, "task": task_id,
+                    "worker": "rogue",
+                    "units": [{"index": 0, "ok": True, "elapsed_s": 0.0,
+                               "value_pickle": pickle.dumps(1.0)}],
+                }))
+            outcomes, _ = transport.poll(timeout=0.2)
+            assert outcomes == []
+            assert conn in transport._conns
+            assert transport._inflight == {"live": live}
+        finally:
+            theirs.close()
+            transport.shutdown()
 
 
 class TestCacheConcurrency:
@@ -601,7 +522,12 @@ class TestLadderReuse:
             obs.disable()
             obs.reset()
 
-    def test_fi_campaign_over_fqueue_matches_inline(self, tmp_path):
+    @pytest.mark.parametrize("shared_cache", [False, True])
+    def test_fi_campaign_over_tcp_matches_inline(self, tmp_path,
+                                                 shared_cache):
+        """Workers rebuild the injector from its pickle (engine
+        rebuilt on their side) and the records come back either over
+        the wire or through the shared cache."""
         from repro.arch import FaultInjector
         from repro.arch import programs as P
 
@@ -611,11 +537,11 @@ class TestLadderReuse:
             n_trials=48, seed=0, chunk_size=8, jobs=2,
             cache=ResultCache(tmp_path / "cache"),
             policy=FaultPolicy(**FAST),
-            transport="fqueue",
-            transport_options=_fqueue_options(tmp_path, 2),
+            transport="tcp",
+            transport_options=_tcp_options(2, shared_cache=shared_cache),
         )
         assert result.records == reference.records
-        assert injector.last_run_stats.transport == "fqueue"
+        assert injector.last_run_stats.transport == "tcp"
 
 
 class TestWorkerAttribution:
@@ -758,6 +684,42 @@ class TestTcpFaults:
             transport="tcp", transport_options={"workers": 4},
         )
         assert runner.run_trials(worker, 40, seed=5) == reference
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_chaos_fates_with_shared_cache_bit_identical(self, tmp_path,
+                                                         workers):
+        """Raise/exit/hang/slow fates while workers store values in the
+        shared cache: retries and requeues never leave a wrong entry."""
+        reference = _reference(n_trials=40, chunk_size=5)
+        spec = ChaosSpec(
+            raise_rate=0.2, exit_rate=0.1, hang_rate=0.1, slow_rate=0.1,
+            hang_s=0.2, slow_s=0.01, fail_attempts=1, seed=7,
+        )
+        worker = ChaosWorker(_draw_chunk, spec, tmp_path / "chaos")
+        runner = CampaignRunner(
+            jobs=workers, chunk_size=5, cache=ResultCache(tmp_path / "cache"),
+            policy=FaultPolicy(max_retries=6, **FAST),
+            transport="tcp",
+            transport_options=_tcp_options(workers, shared_cache=True),
+        )
+        assert runner.run_trials(worker, 40, seed=5) == reference
+        assert runner.stats.transport == "tcp"
+
+    def test_worker_death_requeues_without_retry_penalty(self, tmp_path):
+        """A worker that hard-exits mid-unit loses its units as
+        requeues, not errors: a zero-retry policy still completes."""
+        reference = _reference(n_trials=20, chunk_size=4)
+        # Two of the five units draw the exit fate.
+        spec = ChaosSpec(exit_rate=0.5, fail_attempts=1, seed=3)
+        worker = ChaosWorker(_draw_chunk, spec, tmp_path / "chaos")
+        runner = CampaignRunner(
+            jobs=2, chunk_size=4,
+            policy=FaultPolicy(max_retries=0, **FAST),
+            transport="tcp", transport_options=_tcp_options(2),
+        )
+        assert runner.run_trials(worker, 20, seed=5) == reference
+        assert runner.stats.requeues >= 1
+        assert runner.stats.retries == 0
 
     def test_sigkilled_claimant_requeues_without_retry_penalty(self, tmp_path):
         """SIGKILL a connected worker holding a claim: the disconnect
@@ -950,27 +912,6 @@ class TestTcpMalformedPeers:
     """Garbage from an *authenticated* peer drops that peer and requeues
     its tasks — it must never abort the scheduler's poll loop."""
 
-    def _transport_with_peer(self):
-        transport = TcpTransport(workers=0)
-        transport.ensure_listening()
-        ours, theirs = socket.socketpair()
-        ours.settimeout(0.0)
-        conn = _Conn(ours, ("peer", 0))
-        conn.authed = True
-        conn.worker_id = "rogue"
-        transport._conns.append(conn)
-        transport._selector.register(ours, selectors.EVENT_READ, conn)
-        transport._token = "tok"
-        return transport, conn, theirs
-
-    def _submit(self, transport, conn, task_id="t1", indices=(0, 1)):
-        task = Task(task_id=task_id, indices=tuple(indices),
-                    items=tuple((i,) for i in indices),
-                    digests=(None,) * len(indices))
-        transport._inflight[task_id] = task
-        conn.assigned.add(task_id)
-        return task
-
     @pytest.mark.parametrize("units", [
         [{"ok": True}],                              # no index at all
         [{"index": 99, "ok": True}],                 # index not in the task
@@ -978,9 +919,9 @@ class TestTcpMalformedPeers:
         "not-a-unit-list",                           # wrong field shape
     ])
     def test_malformed_result_drops_peer_and_requeues(self, units):
-        transport, conn, theirs = self._transport_with_peer()
+        transport, conn, theirs = _peer_transport()
         try:
-            self._submit(transport, conn)
+            _assign(transport, conn)
             theirs.sendall(encode_message({
                 "kind": "result", "token": "tok", "task": "t1",
                 "worker": "rogue", "units": units,
@@ -995,7 +936,7 @@ class TestTcpMalformedPeers:
             transport.shutdown()
 
     def test_malformed_heartbeat_drops_peer_not_scheduler(self):
-        transport, conn, theirs = self._transport_with_peer()
+        transport, conn, theirs = _peer_transport()
         try:
             theirs.sendall(encode_message({
                 "kind": "heartbeat", "worker": "rogue", "t": "not-a-time",
@@ -1009,19 +950,6 @@ class TestTcpMalformedPeers:
 class TestTcpExternalWorkers:
     """Independently launched ``repro worker --connect`` processes."""
 
-    def _external_worker(self, address, worker_id, auth):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env[AUTH_ENV] = auth
-        return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker",
-                "--connect", address, "--id", worker_id, "--poll", "0.02",
-            ],
-            env=env, stdout=subprocess.DEVNULL,
-        )
-
     def test_dialed_in_workers_run_the_campaign_then_drain(self):
         """workers=0 scheduler + two external dialers: parity holds and
         a STOP drains both gracefully (exit code 0)."""
@@ -1029,7 +957,7 @@ class TestTcpExternalWorkers:
         transport = TcpTransport(workers=0)
         host, port = transport.ensure_listening()
         procs = [
-            self._external_worker(f"{host}:{port}", wid, transport.auth)
+            _external_worker(f"{host}:{port}", wid, transport.auth)
             for wid in ("ext1", "ext2")
         ]
         try:
@@ -1050,6 +978,34 @@ class TestTcpExternalWorkers:
                     proc.kill()
                     codes.append("killed")
         assert codes == [0, 0]  # STOP drained both workers cleanly
+
+
+class TestTcpNoDelay:
+    """Both ends turn Nagle's algorithm off: every protocol frame is
+    small, and one held back for the peer's delayed ACK stalls a task."""
+
+    def test_both_ends_set_tcp_nodelay(self):
+        transport = TcpTransport(workers=1)
+        try:
+            transport.open(TransportContext(
+                worker=_square, collect=False, policy=FaultPolicy(),
+                cache=None, jobs=1,
+            ))
+            assert _poll_until(transport, lambda: any(
+                conn.worker_id is not None for conn in transport._conns
+            ), timeout_s=30.0)
+            for conn in transport._conns:
+                assert conn.sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            host, port = transport.ensure_listening()
+            dialed = _dial(host, port)
+            try:
+                assert dialed.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            finally:
+                dialed.close()
+        finally:
+            transport.shutdown()
 
 
 def _refuse_rebuild():
