@@ -7,9 +7,8 @@ Three bench groups, each with its own trajectory record:
   numpy kernels and the scalar reference path (same seeds, ``jobs=1``,
   no cache), verifying the scalar-vs-batched equivalence contract.
 * **fi** (``BENCH_fi.json``) — times a fault-injection campaign on the
-  trial-vectorized (batched), checkpoint-and-replay (forked), and
-  full-rerun (reference) engines, verifying the records are
-  bit-identical across all three (see ``docs/fi-engine.md``).
+  trial-vectorized (batched) and full-rerun (reference) engines,
+  verifying the records are bit-identical (see ``docs/fi-engine.md``).
 * **obs** (``BENCH_obs.json``) — times the same campaign with telemetry
   recording off vs on (spans, metrics, and the flight-recorder event
   stream); ``--max-obs-overhead 0.05`` gates the observability layer's
@@ -218,40 +217,8 @@ def bench_wall_ablation(n_runs, rounds):
     }
 
 
-def bench_fi_campaign(n_trials, rounds):
-    """Forked vs reference trial engine on one seed-program campaign."""
-    from repro.arch import FaultInjector
-    from repro.arch import programs as P
-
-    program = P.matmul(5)
-    forked = FaultInjector(
-        program, engine="forked", max_cycles_factor=FI_HANG_BUDGET_FACTOR
-    )
-    reference = FaultInjector(
-        program, engine="reference", max_cycles_factor=FI_HANG_BUDGET_FACTOR
-    )
-    forked_s, forked_res = _timed(
-        lambda: forked.run_campaign(n_trials=n_trials, seed=0), rounds
-    )
-    reference_s, reference_res = _timed(
-        lambda: reference.run_campaign(n_trials=n_trials, seed=0), rounds
-    )
-    # Equivalence contract: bit-identical records, trial for trial.
-    if forked_res.records != reference_res.records:
-        raise AssertionError("forked engine records diverged from reference")
-    return {
-        "forked_s": forked_s,
-        "reference_s": reference_s,
-        "speedup": reference_s / forked_s,
-        "n_trials": n_trials,
-        "program": program.name,
-        "golden_cycles": forked.golden_cycles,
-        "hang_budget_factor": FI_HANG_BUDGET_FACTOR,
-    }
-
-
 def bench_fi_campaign_batched(n_trials, rounds):
-    """Batched (trial-vectorized) engine vs both oracle engines."""
+    """Batched (trial-vectorized) engine vs the reference oracle."""
     from repro.arch import FaultInjector
     from repro.arch import programs as P
 
@@ -262,29 +229,20 @@ def bench_fi_campaign_batched(n_trials, rounds):
             program, engine=engine, max_cycles_factor=FI_HANG_BUDGET_FACTOR
         )
 
-    batched, forked, reference = (
-        make("batched"), make("forked"), make("reference")
-    )
+    batched, reference = make("batched"), make("reference")
     batched_s, batched_res = _timed(
         lambda: batched.run_campaign(n_trials=n_trials, seed=0), rounds
-    )
-    forked_s, forked_res = _timed(
-        lambda: forked.run_campaign(n_trials=n_trials, seed=0), rounds
     )
     reference_s, reference_res = _timed(
         lambda: reference.run_campaign(n_trials=n_trials, seed=0), rounds
     )
-    # Equivalence contract: bit-identical records against both oracles.
+    # Equivalence contract: bit-identical records, trial for trial.
     if batched_res.records != reference_res.records:
         raise AssertionError("batched engine records diverged from reference")
-    if batched_res.records != forked_res.records:
-        raise AssertionError("batched engine records diverged from forked")
     return {
         "batched_s": batched_s,
-        "forked_s": forked_s,
         "reference_s": reference_s,
         "speedup": reference_s / batched_s,
-        "vs_forked": forked_s / batched_s,
         "n_trials": n_trials,
         "program": program.name,
         "golden_cycles": batched.golden_cycles,
@@ -529,7 +487,6 @@ OBS_BENCHES = {
     "obs_overhead": bench_obs_overhead,
 }
 FI_BENCHES = {
-    "fi_campaign": bench_fi_campaign,
     "fi_campaign_batched": bench_fi_campaign_batched,
 }
 DIST_BENCHES = {
@@ -586,16 +543,12 @@ def run_fi_benches(n_trials, rounds):
     for name, bench in FI_BENCHES.items():
         result = bench(n_trials, rounds)
         entry["results"][name] = result
-        fast = "batched" if "batched_s" in result else "forked"
-        line = (
-            f"{name}: {fast} {result[fast + '_s']*1e3:8.1f} ms   "
+        print(
+            f"{name}: batched {result['batched_s']*1e3:8.1f} ms   "
             f"reference {result['reference_s']*1e3:8.1f} ms   "
-            f"speedup {result['speedup']:6.1f}x"
+            f"speedup {result['speedup']:6.1f}x   "
+            f"({result['program']}, {result['n_trials']} trials)"
         )
-        if "vs_forked" in result:
-            line += f"   vs forked {result['vs_forked']:4.1f}x"
-        line += f"   ({result['program']}, {result['n_trials']} trials)"
-        print(line)
     return entry
 
 

@@ -1,12 +1,13 @@
 """Trial-vectorized fault-injection engine (batched suffix replay).
 
-The forked engine (:mod:`repro.arch.fault_injection`) made each trial
-cheap by replaying only the post-fault suffix; this module makes the
-suffix itself cheap by replaying *many* trials' suffixes together.  The
-key observation: until its control flow diverges, a faulty run executes
-exactly the golden PC trace — only register and memory *values* differ.
-So a whole batch of trials can march down the golden trace in lockstep,
-as columns ("lanes") of one ``(16, L)`` numpy register array, with each
+The golden run (:mod:`repro.arch.fault_injection`) leaves a ladder of
+architectural snapshots, so a trial never re-executes the fault-free
+prefix; this module makes the post-fault suffix cheap by replaying
+*many* trials' suffixes together.  The key observation: until its
+control flow diverges, a faulty run executes exactly the golden PC
+trace — only register and memory *values* differ.  So a whole batch of
+trials can march down the golden trace in lockstep, as columns
+("lanes") of one ``(16, L)`` numpy register array, with each
 instruction applied to every lane at once (per-opcode masked updates,
 the same move :func:`repro.core.simulate_runs_batch` uses for the
 Sec. V Monte Carlo kernels).
@@ -17,7 +18,7 @@ current cycle.  That keeps the three retirement checks O(small):
 
 * **reconvergence** at a snapshot boundary — live registers equal and
   delta empty ⇒ the remaining suffix is the golden suffix; classify
-  without executing it (the forked engine's early-exit, batched);
+  without executing it (the early-exit masking check);
 * **halt** — lanes still in lockstep at ``HALT`` classify from their
   delta-patched output words;
 * **divergence** — a lane whose branch direction differs from the
@@ -35,7 +36,7 @@ fast-forwarding with precomputed per-cycle effect arrays instead of
 executing instructions.
 
 Equivalence contract: identical :class:`InjectionRecord` outcomes to
-the ``forked`` and ``reference`` engines for every coordinate — pinned
+the ``reference`` engine for every coordinate — pinned
 by tests and by ``benchmarks/perf_smoke.py``.  See
 ``docs/fi-engine.md`` for the full design walkthrough.
 """
@@ -258,12 +259,11 @@ class BatchedEngine:
                 c = target
 
             if k and c % interval == 0 and c <= last_boundary:
-                # Reconvergence check: same criterion as the forked
-                # engine's ``state_matches`` — live registers equal and
-                # (via the empty-delta invariant) memory equal.  Lanes
+                # Reconvergence check: live registers equal and (via
+                # the empty-delta invariant) memory equal.  Lanes
                 # activated *at* this cycle are appended below, after
-                # the check, matching the forked engine's first-check
-                # boundary of strictly-after-injection.
+                # the check, so a lane's first check is at the first
+                # boundary strictly after its injection.
                 rows = self._live_rows[c]
                 if rows.size:
                     eq = (regs[rows, :k] == golden[rows][:, None]).all(axis=0)

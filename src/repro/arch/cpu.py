@@ -17,9 +17,9 @@ chosen cycle, mid-execution.  Outcomes are classified by the caller
 Data memory is a copy-on-write overlay over the program's (immutable)
 initial image: stores land in a small per-run overlay dict, loads fall
 through to the initial image.  That makes :meth:`CPU.snapshot` /
-:meth:`CPU.restore` — the primitives behind the checkpoint-and-replay
-fault-injection engine — O(registers + stores so far) instead of
-O(total memory footprint).
+:meth:`CPU.restore` — the primitives behind the batched fault-injection
+engine's snapshot ladder and off-trace replay — O(registers + stores so
+far) instead of O(total memory footprint).
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class CPU:
         start, length = output_range
         return tuple(self.read_memory(start + i) for i in range(length))
 
-    # -- checkpointing (the forked-engine surface) -----------------------------
+    # -- checkpointing (the batched-engine surface) ----------------------------
     def snapshot(self):
         """Capture full architectural state between steps (O(state delta))."""
         return CPUSnapshot(
@@ -183,32 +183,6 @@ class CPU:
         self._ir_fault = snap.ir_fault
         self._reads = {}
         self._writes = {}
-
-    def state_matches(self, snap, reg_indices=None):
-        """Whether current architectural state equals a snapshot's.
-
-        ``reg_indices`` restricts the register comparison to the given
-        indices (a caller-computed liveness set); pc, cycle count, halt
-        flag, pending IR fault, and the memory overlay are always
-        compared in full.
-        """
-        if (
-            self.pc != snap.pc
-            or self.cycles != snap.cycles
-            or self.halted != snap.halted
-            or self._ir_fault != snap.ir_fault
-        ):
-            return False
-        regs = snap.registers
-        if reg_indices is None:
-            if tuple(self.registers) != regs:
-                return False
-        else:
-            mine = self.registers
-            for i in reg_indices:
-                if mine[i] != regs[i]:
-                    return False
-        return self._mem_overlay == snap.mem_overlay
 
     # -- state-element access (the fault-injection surface) -------------------
     def state_elements(self):

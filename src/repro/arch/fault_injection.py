@@ -18,29 +18,24 @@ seed stream, so campaigns can fan out over a process pool (``jobs``),
 memoize chunks on disk (``cache``), and report progress — with results
 bit-identical to the serial path.  See ``docs/campaigns.md``.
 
-Trial execution itself runs on one of three engines (``engine=``):
+Trial execution runs on one of two engines (``engine=``):
 
-* ``"batched"`` (the ``"auto"`` default) — trial-vectorized suffix
-  replay: whole chunks of trials march down the golden PC trace in
-  lockstep as numpy lanes, with per-opcode masked updates and the same
-  reconvergence early-exit as the forked engine; lanes whose control
-  flow diverges from the golden trace fall back to the scalar replay
-  path (:mod:`repro.arch.batched_engine`).
-* ``"forked"`` — scalar checkpoint-and-replay: the single golden run
-  leaves a ladder of architectural snapshots; each trial restores the
-  nearest snapshot at-or-before its injection cycle, replays only the
-  short gap, flips the bit, and executes the post-fault suffix — with
-  an early-exit masking check that classifies the trial without
-  running the rest of the suffix once live state has reconverged with
-  the golden trace at a snapshot boundary.
+* ``"batched"`` (default) — trial-vectorized suffix replay: the single
+  golden run leaves a ladder of architectural snapshots, and whole
+  chunks of trials march down the golden PC trace in lockstep as numpy
+  lanes, with per-opcode masked updates and an early-exit masking check
+  that classifies a lane without running the rest of its suffix once
+  its live state has reconverged with the golden run at a snapshot
+  boundary; lanes whose control flow diverges from the golden trace
+  finish on the block-compiled interpreter
+  (:mod:`repro.arch.batched_engine`).
 * ``"reference"`` — the original full re-execution from cycle 0, kept
   as the equivalence oracle (CLI: ``--reference-engine``).
 
-All engines produce bit-identical :class:`InjectionRecord`\\ s; the
-resolved engine is part of :meth:`FaultInjector.fingerprint`, so
-cached results never cross engines.  See ``docs/fi-engine.md`` for
-the full design contract and ``docs/performance.md`` for measured
-speedups.
+Both engines produce bit-identical :class:`InjectionRecord`\\ s; the
+engine is part of :meth:`FaultInjector.fingerprint`, so cached results
+never cross engines.  See ``docs/fi-engine.md`` for the full design
+contract and ``docs/performance.md`` for measured speedups.
 """
 
 from __future__ import annotations
@@ -57,8 +52,8 @@ from repro import obs
 from repro.arch.cpu import CPU, CrashError
 from repro.runtime import CampaignRunner, stable_digest
 
-#: Trial-execution engines (``"auto"`` resolves to ``"batched"``).
-ENGINES = ("auto", "batched", "forked", "reference")
+#: Trial-execution engines: the vectorized engine and its oracle.
+ENGINES = ("batched", "reference")
 
 #: Default campaign chunk size per engine.  The batched engine amortizes
 #: its per-sweep overhead over the whole chunk, so it defaults to wider
@@ -173,27 +168,22 @@ class FaultInjector:
         Relative cycle-count deviation below which a correct-output run is
         MASKED; above it, SYMPTOM.
     engine:
-        Trial-execution engine: ``"batched"`` (trial-vectorized suffix
-        replay), ``"forked"`` (scalar checkpoint-and-replay),
-        ``"reference"`` (full rerun from cycle 0, the equivalence
-        oracle), or ``"auto"`` (default; resolves to ``"batched"``).
-        All engines produce bit-identical records.
-    snapshot_interval:
-        Cycles between golden-state snapshots on the forked engine.
-        ``None`` (default) adapts: it starts at 1 and doubles whenever
-        the ladder outgrows :data:`MAX_AUTO_SNAPSHOTS`, so short
-        programs checkpoint densely and long ones stay bounded.
+        Trial-execution engine: ``"batched"`` (default; trial-vectorized
+        suffix replay) or ``"reference"`` (full rerun from cycle 0, the
+        equivalence oracle).  Both produce bit-identical records.
+
+    The golden-state snapshot interval adapts: it starts at 1 and
+    doubles whenever the ladder outgrows :data:`MAX_AUTO_SNAPSHOTS`, so
+    short programs checkpoint densely and long ones stay bounded.  The
+    resolved value is exposed as ``snapshot_interval``.
     """
 
     def __init__(self, program, max_cycles_factor=4.0, symptom_tolerance=0.02,
-                 engine="auto", snapshot_interval=None):
+                 engine="batched"):
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if snapshot_interval is not None and snapshot_interval < 1:
-            raise ValueError("snapshot_interval must be positive")
         self.program = program
-        self.requested_engine = engine
-        self.engine = "batched" if engine == "auto" else engine
+        self.engine = engine
         self.symptom_tolerance = symptom_tolerance
         self.last_run_stats = None  # RunStats of the most recent campaign
         self._batched = None  # lazy BatchedEngine (per process; unpickled)
@@ -201,17 +191,16 @@ class FaultInjector:
         # One golden run produces everything the trials need: the output
         # words and cycle count, the per-cycle PC trace (which instruction
         # was in flight at each cycle — pattern mining and the selective
-        # replication flow key on it), and the forked engine's ladder of
+        # replication flow key on it), and the batched engine's ladder of
         # architectural snapshots.
         cpu = CPU(program, max_cycles=GOLDEN_MAX_CYCLES)
-        interval = snapshot_interval or 1
-        adaptive = snapshot_interval is None
+        interval = 1
         snapshots = []
         trace = []
         while not cpu.halted:
             if cpu.cycles % interval == 0:
                 snapshots.append(cpu.snapshot())
-                if adaptive and len(snapshots) > MAX_AUTO_SNAPSHOTS:
+                if len(snapshots) > MAX_AUTO_SNAPSHOTS:
                     snapshots = snapshots[::2]
                     interval *= 2
             trace.append(cpu.pc)
@@ -279,32 +268,11 @@ class FaultInjector:
             return Outcome.SYMPTOM
         return Outcome.MASKED
 
-    def inject_one(self, cycle, element, bit):
-        """Run one trial on the configured engine and classify the outcome.
-
-        On the batched engine a single trial gains nothing from
-        vectorization, so it runs on the scalar replay path — outcomes
-        are bit-identical by the engine-equivalence contract.  Use
-        :meth:`inject_many` to amortize trials over one batched sweep.
-        """
-        record = self._scalar_trial(cycle, element, bit)
-        _count_trials([record.outcome.value])
-        return record
-
-    def _scalar_trial(self, cycle, element, bit):
-        """One trial on the scalar replay (or reference) path, uncounted."""
-        pc_at, opcode_at = self._injection_context(cycle)
-        if self.engine == "reference":
-            outcome = self._inject_reference(cycle, element, bit)
-        else:
-            outcome = self._inject_forked(cycle, element, bit)
-        return self._record(cycle, element, bit, outcome, pc_at, opcode_at)
-
     def inject_many(self, coords):
         """Run trials for ``coords`` (``(cycle, element, bit)`` triples).
 
         Returns one :class:`InjectionRecord` per coordinate, in input
-        order, bit-identical on every engine.  On the batched engine,
+        order, bit-identical on both engines.  On the batched engine,
         register trials execute as lanes of one vectorized sweep
         (:mod:`repro.arch.batched_engine`); ``pc``/``ir`` trials leave
         the golden trace at the injection cycle itself, so they replay
@@ -312,10 +280,21 @@ class FaultInjector:
         interpreter.
         """
         coords = [(cycle, element, bit) for cycle, element, bit in coords]
-        if self.engine != "batched":
-            records = [self._scalar_trial(*coord) for coord in coords]
-            self._emit_trials(records)
-            return records
+        if self.engine == "reference":
+            outcomes = [self._inject_reference(*coord) for coord in coords]
+        else:
+            outcomes = self._inject_batched(coords)
+        records = []
+        for (cycle, element, bit), outcome in zip(coords, outcomes):
+            pc_at, opcode_at = self._injection_context(cycle)
+            records.append(
+                self._record(cycle, element, bit, outcome, pc_at, opcode_at)
+            )
+        self._emit_trials(records)
+        return records
+
+    def _inject_batched(self, coords):
+        """Outcomes for ``coords`` on the vectorized engine, in input order."""
         outcomes = [None] * len(coords)
         lanes = []
         offtrace = []
@@ -339,14 +318,7 @@ class FaultInjector:
             with obs.span("arch.cpu.batch", trials=len(lanes)):
                 for i, outcome in engine.run(lanes):
                     outcomes[i] = outcome
-        records = []
-        for (cycle, element, bit), outcome in zip(coords, outcomes):
-            pc_at, opcode_at = self._injection_context(cycle)
-            records.append(
-                self._record(cycle, element, bit, outcome, pc_at, opcode_at)
-            )
-        self._emit_trials(records)
-        return records
+        return outcomes
 
     def _emit_trials(self, records):
         """Counters and flight-recorder rows for one executed batch of trials.
@@ -413,69 +385,6 @@ class FaultInjector:
             return Outcome.HANG
         return self._classify(result.output(self.program.output_range), result.cycles)
 
-    def _inject_forked(self, cycle, element, bit):
-        """Checkpoint-and-replay: restore, replay the gap, flip, run the
-        suffix with an early-exit masking check at snapshot boundaries."""
-        if not 0 <= cycle < self.golden_cycles:
-            # The reference loop halts before ever injecting such a
-            # fault: the trial *is* the golden run.
-            obs.inc("arch.fi.engine.cycles_skipped", self.golden_cycles)
-            return self._classify(self.golden_output, self.golden_cycles)
-        cpu = self._trial_cpu
-        interval = self.snapshot_interval
-        snapshots = self._snapshots
-        snap = snapshots[cycle // interval]
-        cpu.restore(snap)
-        obs.inc("arch.fi.engine.cycles_skipped", snap.cycles)
-        obs.inc("arch.fi.engine.cycles_replayed", cycle - snap.cycles)
-        with obs.span("arch.cpu.replay"):
-            # The pre-fault gap repeats the golden prefix: it cannot
-            # crash, hang, or halt before reaching the injection cycle.
-            cpu.run_span(cycle)
-            cpu.flip_bit(element, bit)
-            return self._run_suffix(cpu, (cycle // interval + 1) * interval)
-
-    def _run_suffix(self, cpu, boundary):
-        """Execute the post-fault suffix and classify the outcome.
-
-        Runs boundary-to-boundary through the golden window, pausing at
-        each snapshot cycle for the early-exit check; shared by the
-        forked engine and the batched engine's divergence fallback.
-        """
-        interval = self.snapshot_interval
-        snapshots = self._snapshots
-        live_at = self._live_regs
-        try:
-            while boundary <= self._last_boundary and not cpu.halted:
-                cpu.run_span(boundary)
-                if cpu.halted:
-                    break
-                live = live_at.get(boundary)
-                if live is not None and cpu.state_matches(
-                    snapshots[boundary // interval], live
-                ):
-                    # Live state reconverged with the golden run at
-                    # the same cycle: the remaining suffix is the
-                    # golden suffix, so classify without executing it.
-                    obs.inc("arch.fi.engine.early_exits")
-                    obs.inc(
-                        "arch.fi.engine.cycles_pruned",
-                        self.golden_cycles - boundary,
-                    )
-                    return self._classify(
-                        self.golden_output, self.golden_cycles
-                    )
-                boundary += interval
-            # Past the last boundary no reconvergence check is
-            # possible: run straight to halt or cycle budget.
-            if not cpu.halted:
-                cpu.run_span()
-        except CrashError:
-            return Outcome.CRASH
-        except TimeoutError:
-            return Outcome.HANG
-        return self._classify(cpu.output(self.program.output_range), cpu.cycles)
-
     def _record(self, cycle, element, bit, outcome, pc_at, opcode_at):
         return InjectionRecord(
             program=self.program.name,
@@ -491,13 +400,11 @@ class FaultInjector:
         """Content digest of everything that determines a trial's result.
 
         Namespaces the result cache: any change to the program, the hang
-        budget, the symptom threshold, or the resolved trial engine
-        changes the fingerprint and invalidates prior entries.  The
-        engines are proven bit-identical, but keeping their cache
-        namespaces separate means an oracle engine always re-executes —
-        an oracle that reads back another engine's results would verify
-        nothing.  (The snapshot interval is deliberately *not*
-        fingerprinted: records are interval-independent by contract.)
+        budget, the symptom threshold, or the trial engine changes the
+        fingerprint and invalidates prior entries.  The engines are
+        proven bit-identical, but keeping their cache namespaces separate
+        means the oracle always re-executes — an oracle that reads back
+        the batched engine's results would verify nothing.
         """
         listing = "\n".join(repr(i) for i in self.program.instructions)
         return {
@@ -511,7 +418,7 @@ class FaultInjector:
         }
 
     def engine_stats(self):
-        """Resolved engine choice plus snapshot-ladder statistics.
+        """Engine choice plus snapshot-ladder statistics.
 
         The ``fi`` experiment stores this in its run record so a report
         can explain where a campaign's time went (which engine actually
@@ -520,7 +427,6 @@ class FaultInjector:
         """
         return {
             "engine": self.engine,
-            "requested_engine": self.requested_engine,
             "golden_cycles": self.golden_cycles,
             "max_cycles": self.max_cycles,
             "snapshots": len(self._snapshots),

@@ -92,36 +92,44 @@ def label_instructions(program, n_trials_per_instruction=40, seed=0):
     cycles_by_pc = {}
     for cycle, pc in enumerate(trace):
         cycles_by_pc.setdefault(pc, []).append(cycle)
-    labels = []
+    # Draw every executed instruction's trials first, then run them all
+    # as one sweep; instruction ``executed[k]`` owns trial slice ``k``.
+    executed = []
+    coords = []
     for idx, instr in enumerate(program.instructions):
         cycles = cycles_by_pc.get(idx)
         if not cycles:
-            labels.append(LABEL_INDEX[Outcome.MASKED])  # dead code
-            continue
+            continue  # dead code stays MASKED
         if instr.writes is not None:
             element = f"reg{instr.writes}"
         elif instr.opcode in BRANCH_OPS or instr.opcode == Opcode.HALT:
             element = "pc"
         else:
             element = "ir"
-        counts = {o: 0 for o in LABELS}
+        executed.append(idx)
         for _ in range(n_trials_per_instruction):
             # Inject right after this instruction executed so its result
             # (or the control decision) is what gets corrupted.
             cycle = int(rng.choice(cycles)) + 1
             bit = int(rng.integers(0, 32))
-            record = injector.inject_one(cycle, element, bit)
+            coords.append((cycle, element, bit))
+    records = injector.inject_many(coords)
+    labels = [LABEL_INDEX[Outcome.MASKED]] * len(program.instructions)
+    n = n_trials_per_instruction
+    for k, idx in enumerate(executed):
+        counts = {o: 0 for o in LABELS}
+        for record in records[k * n:(k + 1) * n]:
             outcome = record.outcome
             if outcome == Outcome.SYMPTOM:
                 outcome = Outcome.MASKED
             counts[outcome] += 1
         failures = {o: c for o, c in counts.items() if o != Outcome.MASKED}
         total_failures = sum(failures.values())
-        if total_failures >= 0.25 * n_trials_per_instruction:
+        if total_failures >= 0.25 * n:
             dominant = max(failures, key=failures.get)
         else:
             dominant = Outcome.MASKED
-        labels.append(LABEL_INDEX[dominant])
+        labels[idx] = LABEL_INDEX[dominant]
     return np.asarray(labels)
 
 

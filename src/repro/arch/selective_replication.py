@@ -16,6 +16,7 @@ slowdown is the instruction-count overhead of the duplicates.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,22 +80,29 @@ class ReplicationStudy:
         self._exec_counts[program.name] = {
             pc: len(c) for pc, c in cycles_by_pc.items()
         }
-        sdc_trials = []
-        labels = np.zeros(len(program.instructions), dtype=int)
+        # Draw every instruction's trials first, then run them all as one
+        # sweep; ``trials[j]`` is the instruction index of coordinate j.
+        trials = []
+        coords = []
         for idx, instr in enumerate(program.instructions):
             cycles = cycles_by_pc.get(idx)
             if not cycles or instr.writes is None:
                 continue
             element = f"reg{instr.writes}"
-            sdc_count = 0
             for _ in range(self.n_trials):
                 cycle = int(rng.choice(cycles)) + 1
                 bit = int(rng.integers(0, 32))
-                record = injector.inject_one(cycle, element, bit)
-                if record.outcome == Outcome.SDC:
-                    sdc_count += 1
-                    sdc_trials.append((idx, cycle, bit))
-            if sdc_count / self.n_trials > 0.15:
+                trials.append(idx)
+                coords.append((cycle, element, bit))
+        sdc_trials = [
+            (idx, record.cycle, record.bit)
+            for idx, record in zip(trials, injector.inject_many(coords))
+            if record.outcome == Outcome.SDC
+        ]
+        sdc_counts = Counter(idx for idx, _, _ in sdc_trials)
+        labels = np.zeros(len(program.instructions), dtype=int)
+        for idx, count in sdc_counts.items():
+            if count / self.n_trials > 0.15:
                 labels[idx] = 1  # vulnerable
         self._sdc_trials[program.name] = sdc_trials
         self._labels[program.name] = labels

@@ -108,9 +108,7 @@ def _mc_kernel(args):
 
 def _fi_engine(args):
     """Trial-engine selection for the fault-injection experiment (fi)."""
-    if getattr(args, "reference_engine", False):
-        return "reference"  # back-compat alias; wins over --engine
-    return getattr(args, "engine", "auto")
+    return "reference" if getattr(args, "reference_engine", False) else "batched"
 
 
 def run_fig5(args):
@@ -199,7 +197,7 @@ def run_fi(args):
         )
     stats = injector.engine_stats()
     print(
-        f"engine: {stats['engine']} (requested {stats['requested_engine']}), "
+        f"engine: {stats['engine']}, "
         f"{stats['snapshots']} snapshots @ interval "
         f"{stats['snapshot_interval']}, golden {stats['golden_cycles']} "
         f"cycles (budget {stats['max_cycles']})"
@@ -507,17 +505,10 @@ def build_parser():
         "fault-injection engine (fi; see docs/performance.md)"
     )
     engines.add_argument(
-        "--engine", choices=("auto", "batched", "forked", "reference"),
-        default="auto",
-        help="fault-injection trial engine (default: auto, which resolves "
-             "to the trial-vectorized batched engine; forked = scalar "
-             "checkpoint-and-replay, reference = full rerun; records are "
-             "bit-identical on every engine — see docs/fi-engine.md)",
-    )
-    engines.add_argument(
         "--reference-engine", action="store_true",
-        help="alias for --engine reference (wins if both are given); kept "
-             "for compatibility with pre-batched-engine run configs",
+        help="force the full-rerun reference fault-injection engine instead "
+             "of the trial-vectorized batched engine (records are "
+             "bit-identical — see docs/fi-engine.md)",
     )
     steering = parser.add_argument_group(
         "campaign steering (fi; see docs/steering.md)"
@@ -768,8 +759,8 @@ def run_list(args):
     )
     print(
         "fi runs on the trial-vectorized batched engine; pass "
-        "--engine forked|reference\nto force the scalar replay or "
-        "full-rerun paths (see docs/fi-engine.md)"
+        "--reference-engine\nto force the full-rerun reference path "
+        "(see docs/fi-engine.md)"
     )
     print(
         "fi --steer --target-ci HW adaptively allocates trials and stops "
@@ -792,7 +783,6 @@ def _run_recorded(name, args):
         "jobs": args.jobs,
         "cache": not args.no_cache,
         "reference_kernel": args.reference_kernel,
-        "engine": args.engine,
         "reference_engine": args.reference_engine,
         "resume": args.resume,
         "unit_timeout": args.unit_timeout,
@@ -809,8 +799,8 @@ def _run_recorded(name, args):
         with obs.span(f"cli.{name}"):
             resolved = EXPERIMENTS[name](args)
         if isinstance(resolved, dict):
-            # Resolved runtime choices (e.g. which fi engine "auto"
-            # picked, snapshot-ladder shape) so `report` can explain
+            # Resolved runtime choices (e.g. the fi engine and its
+            # snapshot-ladder shape) so `report` can explain
             # where a campaign's time went.
             recorder.config["resolved"] = resolved
     print(f"run record: {recorder.path}")

@@ -41,7 +41,6 @@ from repro.ml.cluster import KMeans
 from repro.ml.decomposition import PCA
 from repro.ml.gnn import GraphAttentionClassifier
 from repro.ml.compression import prune_mlp, quantize_mlp
-from repro.ml.persistence import save_mlp, load_mlp, save_ensemble, load_ensemble
 from repro.ml.metrics import roc_auc_score
 
 __all__ = [
@@ -78,9 +77,5 @@ __all__ = [
     "GraphAttentionClassifier",
     "prune_mlp",
     "quantize_mlp",
-    "save_mlp",
-    "save_ensemble",
-    "load_ensemble",
-    "load_mlp",
     "roc_auc_score",
 ]

@@ -47,12 +47,12 @@ class TestFaultInjector:
         assert len(has_context) > 0.9 * len(campaign.records)
 
     def test_injection_is_deterministic_given_coords(self, injector):
-        a = injector.inject_one(10, "reg3", 5)
-        b = injector.inject_one(10, "reg3", 5)
-        assert a.outcome == b.outcome
+        a = injector.inject_many([(10, "reg3", 5)])
+        b = injector.inject_many([(10, "reg3", 5)])
+        assert a == b
 
     def test_high_bit_pc_flip_crashes(self, injector):
-        record = injector.inject_one(5, "pc", 20)
+        (record,) = injector.inject_many([(5, "pc", 20)])
         assert record.outcome in (Outcome.CRASH, Outcome.HANG)
 
     def test_element_failure_rates_structure(self, campaign):

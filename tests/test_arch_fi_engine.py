@@ -1,13 +1,15 @@
-"""Three-way FI engine equivalence: reference vs forked vs batched.
+"""FI engine equivalence: batched vs the reference oracle.
 
 The reference engine re-executes every trial from cycle 0 and is kept
-as the oracle; the forked engine restores golden-state snapshots,
-replays the gap, and early-exits on reconvergence; the batched engine
-runs whole chunks of trials in lockstep down the golden trace as numpy
-lanes, falling out to the block-compiled interpreter on divergence.
-Every test here pins the contract that all engines produce
-bit-identical :class:`InjectionRecord`\\ s — outcomes, injection
-context, everything.
+as the oracle; the batched engine runs whole chunks of trials in
+lockstep down the golden trace as numpy lanes, early-exits on
+reconvergence at snapshot boundaries, and falls out to the
+block-compiled interpreter on divergence.  Every test here pins the
+contract that both engines produce bit-identical
+:class:`InjectionRecord`\\ s — outcomes, injection context, everything.
+Single-coordinate :meth:`FaultInjector.inject_many` calls force
+one-lane sweeps, so the per-trial tests exercise every lane in
+isolation.
 """
 
 import pytest
@@ -23,18 +25,17 @@ ELEMENTS = [f"reg{i}" for i in range(16)] + ["pc", "ir"]
 
 
 def _pair(program, **kwargs):
-    """(reference, forked) injectors with identical configuration."""
+    """(reference, batched) injectors with identical configuration."""
     return (
         FaultInjector(program, engine="reference", **kwargs),
-        FaultInjector(program, engine="forked", **kwargs),
-    )
-
-
-def _trio(program, **kwargs):
-    """(reference, forked, batched) injectors, identically configured."""
-    return _pair(program, **kwargs) + (
         FaultInjector(program, engine="batched", **kwargs),
     )
+
+
+def _one(injector, cycle, element, bit):
+    """One trial as a single-coordinate (one-lane) sweep."""
+    (record,) = injector.inject_many([(cycle, element, bit)])
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -43,114 +44,87 @@ def checksum_pair():
 
 
 class TestEngineSelection:
-    def test_auto_resolves_to_batched(self):
-        inj = FaultInjector(P.fibonacci(8))
-        assert inj.engine == "batched"
-        assert inj.requested_engine == "auto"
-        assert FaultInjector(P.fibonacci(8), engine="auto").engine == "batched"
-        explicit = FaultInjector(P.fibonacci(8), engine="forked")
-        assert explicit.engine == explicit.requested_engine == "forked"
+    def test_default_engine_is_batched(self):
+        assert FaultInjector(P.fibonacci(8)).engine == "batched"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            FaultInjector(P.fibonacci(8), engine="turbo")
-
-    def test_nonpositive_snapshot_interval_rejected(self):
-        with pytest.raises(ValueError, match="snapshot_interval"):
-            FaultInjector(P.fibonacci(8), snapshot_interval=0)
+        for engine in ("turbo", "auto"):
+            with pytest.raises(ValueError, match="engine"):
+                FaultInjector(P.fibonacci(8), engine=engine)
 
     def test_engine_namespaces_the_cache_fingerprint(self):
-        ref, fork, batched = _trio(P.fibonacci(8))
+        ref, batched = _pair(P.fibonacci(8))
         assert ref.fingerprint()["engine"] == "reference"
-        assert fork.fingerprint()["engine"] == "forked"
         assert batched.fingerprint()["engine"] == "batched"
         stripped = []
-        for inj in (ref, fork, batched):
+        for inj in (ref, batched):
             fp = dict(inj.fingerprint())
             del fp["engine"]
             stripped.append(fp)
-        assert stripped[0] == stripped[1] == stripped[2]
-
-    def test_snapshot_interval_not_fingerprinted(self):
-        # Records are interval-independent by contract, so the interval
-        # must not split the cache namespace.
-        a = FaultInjector(P.fibonacci(8), snapshot_interval=1)
-        b = FaultInjector(P.fibonacci(8), snapshot_interval=64)
-        assert a.fingerprint() == b.fingerprint()
+        assert stripped[0] == stripped[1]
 
 
 class TestCampaignEquivalence:
     @pytest.mark.parametrize("program", P.all_programs(), ids=lambda p: p.name)
     def test_bit_identical_records_all_seed_programs(self, program):
-        ref, fork, batched = _trio(program)
+        ref, batched = _pair(program)
         r = ref.run_campaign(n_trials=60, seed=7)
-        f = fork.run_campaign(n_trials=60, seed=7)
         b = batched.run_campaign(n_trials=60, seed=7)
-        assert r.records == f.records == b.records
-        assert r.golden_output == f.golden_output == b.golden_output
-        assert r.golden_cycles == f.golden_cycles == b.golden_cycles
+        assert r.records == b.records
+        assert r.golden_output == b.golden_output
+        assert r.golden_cycles == b.golden_cycles
 
     def test_identical_under_jobs_and_cache(self, tmp_path):
         from repro.runtime import ResultCache
 
-        ref, fork = _pair(P.checksum(16))
+        ref, batched = _pair(P.checksum(16))
         serial = ref.run_campaign(n_trials=48, seed=3)
         cache = ResultCache(tmp_path / "cache")
-        parallel = fork.run_campaign(n_trials=48, seed=3, jobs=2, cache=cache)
+        parallel = batched.run_campaign(
+            n_trials=48, seed=3, jobs=2, cache=cache, chunk_size=16
+        )
         assert serial.records == parallel.records
         # Second run replays from the cache: still identical.
-        cached = fork.run_campaign(n_trials=48, seed=3, jobs=1, cache=cache)
+        cached = batched.run_campaign(
+            n_trials=48, seed=3, jobs=1, cache=cache, chunk_size=16
+        )
         assert cached.records == serial.records
-        assert fork.last_run_stats.cached_trials == 48
+        assert batched.last_run_stats.cached_trials == 48
 
     def test_exhaustive_element_campaigns_match(self):
-        ref, fork = _pair(P.dot_product(8))
+        ref, batched = _pair(P.dot_product(8))
         for element in ("reg2", "pc", "ir"):
             r = ref.exhaustive_element_campaign(element, n_trials=40, seed=1)
-            f = fork.exhaustive_element_campaign(element, n_trials=40, seed=1)
-            assert r.records == f.records
+            b = batched.exhaustive_element_campaign(element, n_trials=40, seed=1)
+            assert r.records == b.records
 
 
 class TestTrialEquivalence:
     @pytest.mark.parametrize("element", ["reg0", "reg1", "reg5", "reg15", "pc", "ir"])
     def test_all_element_kinds_over_cycle_grid(self, checksum_pair, element):
-        ref, fork = checksum_pair
+        ref, batched = checksum_pair
         step = max(1, ref.golden_cycles // 11)
         for cycle in range(0, ref.golden_cycles, step):
             for bit in (0, 7, 19, 31):
-                assert ref.inject_one(cycle, element, bit) == fork.inject_one(
-                    cycle, element, bit
-                )
-
-    @pytest.mark.parametrize("interval", [1, 7, 10**6])
-    def test_snapshot_interval_edge_cases(self, interval):
-        # interval 1 checkpoints every cycle; 10**6 exceeds golden_cycles,
-        # leaving only the cycle-0 snapshot (degenerates to near-full
-        # re-execution) — records must not change.
-        prog = P.bubble_sort(6)
-        ref = FaultInjector(prog, engine="reference")
-        fork = FaultInjector(prog, engine="forked", snapshot_interval=interval)
-        for cycle in (0, 1, ref.golden_cycles // 2, ref.golden_cycles - 1):
-            for element in ("reg3", "pc", "ir"):
-                assert ref.inject_one(cycle, element, 2) == fork.inject_one(
-                    cycle, element, 2
+                assert _one(ref, cycle, element, bit) == _one(
+                    batched, cycle, element, bit
                 )
 
     def test_fault_at_first_and_last_cycle(self, checksum_pair):
-        ref, fork = checksum_pair
+        ref, batched = checksum_pair
         for cycle in (0, ref.golden_cycles - 1):
             for element in ("reg1", "pc", "ir"):
                 for bit in range(0, 32, 5):
-                    assert ref.inject_one(cycle, element, bit) == fork.inject_one(
-                        cycle, element, bit
+                    assert _one(ref, cycle, element, bit) == _one(
+                        batched, cycle, element, bit
                     )
 
     def test_fault_past_the_golden_run_never_fires(self, checksum_pair):
-        ref, fork = checksum_pair
+        ref, batched = checksum_pair
         for cycle in (ref.golden_cycles, ref.golden_cycles + 100):
-            r = ref.inject_one(cycle, "reg4", 9)
+            r = _one(ref, cycle, "reg4", 9)
             assert r.outcome is Outcome.MASKED
-            assert r == fork.inject_one(cycle, "reg4", 9)
+            assert r == _one(batched, cycle, "reg4", 9)
 
 
 _HYPO_PAIR = _pair(P.checksum(24))
@@ -163,16 +137,16 @@ _HYPO_PAIR = _pair(P.checksum(24))
 )
 @settings(max_examples=150, deadline=None)
 def test_property_any_injection_coordinates_match(cycle, element, bit):
-    ref, fork = _HYPO_PAIR
-    assert ref.inject_one(cycle, element, bit) == fork.inject_one(cycle, element, bit)
+    ref, batched = _HYPO_PAIR
+    assert _one(ref, cycle, element, bit) == _one(batched, cycle, element, bit)
 
 
-_HYPO_TRIOS = [_trio(p) for p in P.all_programs()]
-_MAX_GOLDEN = max(t[0].golden_cycles for t in _HYPO_TRIOS)
+_HYPO_PAIRS = [_pair(p) for p in P.all_programs()]
+_MAX_GOLDEN = max(pair[0].golden_cycles for pair in _HYPO_PAIRS)
 
 
 @given(
-    prog_index=st.integers(min_value=0, max_value=len(_HYPO_TRIOS) - 1),
+    prog_index=st.integers(min_value=0, max_value=len(_HYPO_PAIRS) - 1),
     coords=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=_MAX_GOLDEN + 3),
@@ -184,13 +158,14 @@ _MAX_GOLDEN = max(t[0].golden_cycles for t in _HYPO_TRIOS)
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_property_three_engines_match_on_every_program(prog_index, coords):
-    """Random coordinate batches produce bit-identical records on all
-    three engines, for every seed program (batched runs them as one
-    ``inject_many`` call, exercising the lane/offtrace partition)."""
-    ref, fork, batched = _HYPO_TRIOS[prog_index]
-    expected = [ref.inject_one(*c) for c in coords]
-    assert [fork.inject_one(*c) for c in coords] == expected
+def test_property_engines_match_on_every_program(prog_index, coords):
+    """Random coordinate batches produce bit-identical records on both
+    engines, for every seed program, whether the batched engine runs
+    them as one ``inject_many`` call (exercising the lane/offtrace
+    partition) or as one-lane sweeps."""
+    ref, batched = _HYPO_PAIRS[prog_index]
+    expected = ref.inject_many(coords)
+    assert [_one(batched, *c) for c in coords] == expected
     assert batched.inject_many(coords) == expected
 
 
@@ -234,13 +209,13 @@ class TestEngineInternals:
         snap = cpu.snapshot()
         cpu.run_span()  # run to completion, mutating state
         cpu.restore(snap)
-        assert cpu.state_matches(snap)
+        assert cpu.snapshot() == snap
         assert cpu.cycles == 10
 
-    def test_forked_engine_emits_metrics(self):
+    def test_batched_engine_emits_ladder_metrics(self):
         with obs.collecting():
-            fork = FaultInjector(P.checksum(24), engine="forked")
-            fork.run_campaign(n_trials=80, seed=0)
+            batched = FaultInjector(P.checksum(24), engine="batched")
+            batched.run_campaign(n_trials=80, seed=0)
             counters = obs.metrics_snapshot()["counters"]
         assert counters["arch.fi.engine.snapshots"] > 0
         assert counters["arch.fi.engine.early_exits"] > 0
@@ -252,8 +227,8 @@ class TestEngineInternals:
         # pruned cycles must dominate the replayed ones on a
         # masked-heavy campaign.
         with obs.collecting():
-            fork = FaultInjector(P.checksum(24), engine="forked")
-            fork.run_campaign(n_trials=120, seed=1)
+            batched = FaultInjector(P.checksum(24), engine="batched")
+            batched.run_campaign(n_trials=120, seed=1)
             counters = obs.metrics_snapshot()["counters"]
         assert (
             counters["arch.fi.engine.cycles_pruned"]
@@ -280,12 +255,11 @@ class TestBatchedEngine:
     def test_divergence_falls_back_and_classifies_identically(self):
         # A trial whose branch direction leaves the golden trace must
         # drop out of the lockstep sweep and still classify exactly as
-        # the oracle engines do.
+        # the oracle engine does.
         program = P.bubble_sort(6)
         coord = _find_divergent_coordinate(program)
-        ref, fork, batched = _trio(program)
-        expected = ref.inject_one(*coord)
-        assert fork.inject_one(*coord) == expected
+        ref, batched = _pair(program)
+        expected = _one(ref, *coord)
         with obs.collecting():
             # inject_many forces the batch path even for one trial
             assert batched.inject_many([coord]) == [expected]
@@ -293,17 +267,17 @@ class TestBatchedEngine:
         assert counters["arch.fi.engine.batch.divergences"] == 1
 
     def test_single_trial_api_matches_batch_api(self):
-        # inject_one on the batched engine serves per-trial callers via
-        # the scalar replay path; records must match the batch path.
+        # A trial's record must not depend on which other lanes share
+        # its sweep: one-lane sweeps match the whole batch.
         batched = FaultInjector(P.dot_product(8), engine="batched")
         coords = [(c, el, b) for c in (0, 5, 40) for el in ("reg2", "pc")
                   for b in (1, 30)]
         assert batched.inject_many(coords) == [
-            batched.inject_one(*c) for c in coords
+            _one(batched, *c) for c in coords
         ]
 
     def test_offtrace_and_out_of_range_partitions(self):
-        ref, _, batched = _trio(P.checksum(16))
+        ref, batched = _pair(P.checksum(16))
         n = ref.golden_cycles
         coords = [
             (0, "ir", 7), (n // 2, "pc", 1), (n + 10, "reg3", 4),
@@ -312,7 +286,7 @@ class TestBatchedEngine:
         with obs.collecting():
             records = batched.inject_many(coords)
             counters = obs.metrics_snapshot()["counters"]
-        assert records == [ref.inject_one(*c) for c in coords]
+        assert records == ref.inject_many(coords)
         assert counters["arch.fi.engine.batch.offtrace_trials"] == 2
         assert counters["arch.fi.engine.batch.lanes"] == 1
         assert records[2].outcome is Outcome.MASKED
@@ -335,10 +309,9 @@ class TestBatchedEngine:
         assert counters["arch.fi.engine.early_exits"] > 0
 
     def test_engine_stats_reports_resolution_and_ladder(self):
-        inj = FaultInjector(P.fibonacci(10))  # auto -> batched
+        inj = FaultInjector(P.fibonacci(10))
         stats = inj.engine_stats()
         assert stats["engine"] == "batched"
-        assert stats["requested_engine"] == "auto"
         assert stats["snapshots"] >= 1
         assert stats["snapshot_interval"] >= 1
         assert stats["golden_cycles"] == inj.golden_cycles

@@ -98,6 +98,30 @@ class TestMain:
         assert main(["list"]) == 0
         assert "--reference-kernel" in capsys.readouterr().out
 
+    def test_list_advertises_reference_engine(self, capsys):
+        assert main(["list"]) == 0
+        assert "--reference-engine" in capsys.readouterr().out
+
+    def test_engine_flag_is_gone(self, capsys):
+        # --reference-engine is the only fault-injection engine switch.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fi", "--engine", "batched"])
+        assert exc.value.code == 2
+
+    def test_fi_reference_engine_recorded_run(self, capsys, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runs = tmp_path / "runs"
+        assert main(["fi", "--trials", "32", "--no-cache",
+                     "--reference-engine", "--record", str(runs)]) == 0
+        assert "engine: reference," in capsys.readouterr().out
+        from repro.obs import load_run_record
+
+        config = load_run_record(runs)["meta"]["config"]
+        assert config["reference_engine"] is True
+        assert "engine" not in config
+        assert config["resolved"]["fi_engine"]["engine"] == "reference"
+
     def test_fig5_reference_kernel_runs(self, capsys):
         # The Fig. 5 statistic is draw-for-draw identical across kernels,
         # so the rendered table must not change under --reference-kernel.

@@ -78,35 +78,6 @@ class TestLanguageClassifier:
             LanguageHDCClassifier(dim=128).predict(["abc def"])
 
 
-def test_persistence_roundtrip(tmp_path):
-    from repro.ml import MLPClassifier, MLPRegressor
-    from repro.ml.persistence import load_mlp, save_mlp
-
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(80, 3))
-    y = (X[:, 0] > 0).astype(int)
-    clf = MLPClassifier(hidden=(8,), n_epochs=40).fit(X, y)
-    path = tmp_path / "clf.npz"
-    save_mlp(clf, str(path))
-    loaded = load_mlp(str(path))
-    assert np.array_equal(clf.predict(X), loaded.predict(X))
-    assert np.allclose(clf.predict_proba(X), loaded.predict_proba(X))
-
-    reg = MLPRegressor(hidden=(8,), n_epochs=40).fit(X, X[:, 0] * 2)
-    rpath = tmp_path / "reg.npz"
-    save_mlp(reg, str(rpath))
-    rloaded = load_mlp(str(rpath))
-    assert np.allclose(reg.predict(X), rloaded.predict(X))
-
-
-def test_persistence_rejects_unfitted(tmp_path):
-    from repro.ml import MLPClassifier
-    from repro.ml.persistence import save_mlp
-
-    with pytest.raises(ValueError):
-        save_mlp(MLPClassifier(), str(tmp_path / "x.npz"))
-
-
 def test_timing_report_structure():
     from repro.circuit import (
         SpiceLikeCharacterizer,

@@ -215,6 +215,15 @@ class TestEnsembles:
         assert probs.shape == (5, 3)
         assert np.allclose(probs.sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize(
+        "model_cls", [RandomForestClassifier, GradientBoostingClassifier]
+    )
+    def test_same_seed_is_deterministic(self, model_cls, blobs):
+        X, y = blobs
+        a = model_cls(n_estimators=10, seed=5).fit(X, y)
+        b = model_cls(n_estimators=10, seed=5).fit(X, y)
+        assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
+
 
 class TestMLP:
     def test_loss_decreases(self, blobs):
@@ -254,65 +263,3 @@ class TestMLP:
         model = MLPRegressor(hidden=(16,), n_epochs=200, lr=3e-3).fit(X, Y)
         pred = model.predict(X)
         assert pred.shape == (100, 2)
-
-
-class TestEnsemblePersistence:
-    """npz round-trips for the campaign-steering surrogate families."""
-
-    def test_forest_roundtrip(self, blobs, tmp_path):
-        from repro.ml import load_ensemble, save_ensemble
-
-        X, y = blobs
-        model = RandomForestClassifier(n_estimators=12, seed=3).fit(X, y)
-        path = tmp_path / "forest.npz"
-        save_ensemble(model, path)
-        loaded = load_ensemble(path)
-        assert isinstance(loaded, RandomForestClassifier)
-        assert np.array_equal(loaded.predict(X), model.predict(X))
-        assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
-
-    def test_gbdt_roundtrip_multiclass(self, blobs3, tmp_path):
-        from repro.ml import load_ensemble, save_ensemble
-
-        X, y = blobs3
-        model = GradientBoostingClassifier(n_estimators=15, seed=4).fit(X, y)
-        path = tmp_path / "gbdt.npz"
-        save_ensemble(model, path)
-        loaded = load_ensemble(path)
-        assert isinstance(loaded, GradientBoostingClassifier)
-        assert np.array_equal(loaded.predict(X), model.predict(X))
-        assert np.array_equal(loaded.predict_proba(X), model.predict_proba(X))
-
-    def test_roundtrip_preserves_params(self, blobs, tmp_path):
-        from repro.ml import load_ensemble, save_ensemble
-
-        X, y = blobs
-        model = GradientBoostingClassifier(
-            n_estimators=7, learning_rate=0.2, max_depth=2, subsample=0.8,
-            seed=11,
-        ).fit(X, y)
-        save_ensemble(model, tmp_path / "m.npz")
-        loaded = load_ensemble(tmp_path / "m.npz")
-        for attr in ("n_estimators", "learning_rate", "max_depth",
-                     "subsample", "seed"):
-            assert getattr(loaded, attr) == getattr(model, attr)
-
-    def test_unfitted_or_unsupported_raises(self, blobs, tmp_path):
-        from repro.ml import save_ensemble
-
-        with pytest.raises(ValueError):
-            save_ensemble(RandomForestClassifier(), tmp_path / "x.npz")
-        with pytest.raises(ValueError):
-            save_ensemble(GradientBoostingClassifier(), tmp_path / "x.npz")
-        X, y = blobs
-        with pytest.raises(TypeError):
-            save_ensemble(GaussianNB().fit(X, y), tmp_path / "x.npz")
-
-    @pytest.mark.parametrize(
-        "model_cls", [RandomForestClassifier, GradientBoostingClassifier]
-    )
-    def test_same_seed_is_deterministic(self, model_cls, blobs):
-        X, y = blobs
-        a = model_cls(n_estimators=10, seed=5).fit(X, y)
-        b = model_cls(n_estimators=10, seed=5).fit(X, y)
-        assert np.array_equal(a.predict_proba(X), b.predict_proba(X))

@@ -102,10 +102,10 @@ class TestDiffRecords:
         diff = diff_records(
             _record("a", {"masked": 1}, config={"engine": "batched",
                                                 "trials": 64}),
-            _record("b", {"masked": 1}, config={"engine": "forked",
+            _record("b", {"masked": 1}, config={"engine": "reference",
                                                 "jobs": 2}),
         )
-        assert diff["config"]["engine"] == ("batched", "forked")
+        assert diff["config"]["engine"] == ("batched", "reference")
         assert diff["config"]["trials"] == (64, "<absent>")
         assert diff["config"]["jobs"] == ("<absent>", 2)
 
@@ -125,7 +125,7 @@ class TestRenderDiff:
                     config={"engine": "batched"}),
             _record("b", {"masked": 10, "sdc": 90},
                     counters={"runtime.fault.retries": 3},
-                    config={"engine": "forked"}),
+                    config={"engine": "reference"}),
         ))
         assert "== run diff: a (A) vs b (B) ==" in text
         assert "== outcome deltas ==" in text

@@ -306,12 +306,12 @@ class TestRecorderEventStream:
         from repro.arch import programs as P
 
         rows_by_engine = {}
-        for engine in ("batched", "forked"):
+        for engine in ("batched", "reference"):
             injector = FaultInjector(P.fibonacci(6), engine=engine)
             with RunRecorder(tmp_path / engine, name="fi") as recorder:
                 injector.run_campaign(n_trials=32, seed=1)
             rows_by_engine[engine] = trial_rows(
                 read_events(recorder.events_path)
             )
-        assert rows_by_engine["batched"] == rows_by_engine["forked"]
+        assert rows_by_engine["batched"] == rows_by_engine["reference"]
         assert len(rows_by_engine["batched"]) == 32
