@@ -14,8 +14,8 @@ Three bench groups, each with its own trajectory record:
   stream); ``--max-obs-overhead 0.05`` gates the observability layer's
   <5% overhead budget in CI (see ``docs/observability.md``).
 * **dist** (``BENCH_dist.json``) — times a latency-bound campaign
-  (:class:`repro.runtime.loadgen.LatencyWorker`) over the ``tcp`` and
-  ``pool`` transports at increasing worker counts, verifying every run
+  (:class:`repro.runtime.loadgen.LatencyWorker`) over the ``tcp``
+  transport at increasing worker counts, verifying every run
   bit-identical to the inline reference, plus the scheduler's own
   per-unit overhead on the inline fast path.  ``--min-dist-speedup``
   gates the 1→4-worker tcp throughput gain and
@@ -306,7 +306,7 @@ def bench_obs_overhead(n_trials, rounds):
 
 
 def bench_dist_scaling(n_units, rounds):
-    """Fabric scaling: tcp/pool throughput vs workers, one core.
+    """Fabric scaling: tcp throughput vs workers, one core.
 
     Each configuration runs the same latency-bound campaign
     (one-trial units, each sleeping ``DIST_UNIT_LATENCY_S``) after a
@@ -319,7 +319,7 @@ def bench_dist_scaling(n_units, rounds):
     """
     from repro.runtime import CampaignRunner, FaultPolicy
     from repro.runtime.loadgen import LatencyWorker
-    from repro.runtime.transports import PoolTransport, TcpTransport
+    from repro.runtime.transports import TcpTransport
 
     worker = LatencyWorker(DIST_UNIT_LATENCY_S)
     # One unit per task keeps the fabric busy with fine-grained claims;
@@ -328,9 +328,9 @@ def bench_dist_scaling(n_units, rounds):
                          backoff_base_s=0.001)
     seeds = list(range(1, rounds + 1))
 
-    def runner(transport=None, cache=None, jobs=1):
-        return CampaignRunner(jobs=jobs, chunk_size=1, policy=policy,
-                              cache=cache, transport=transport)
+    def runner(transport=None, cache=None):
+        return CampaignRunner(chunk_size=1, policy=policy, cache=cache,
+                              transport=transport)
 
     references, inline_times = {}, []
     for seed in seeds:
@@ -339,14 +339,14 @@ def bench_dist_scaling(n_units, rounds):
         inline_times.append(time.perf_counter() - start)
     inline_s = float(np.median(inline_times))
 
-    def timed_config(label, transport, cache, jobs=1):
-        # Warm-up on its own seed spawns workers/pools so the measured
-        # rounds see a steady-state fabric, not python start-up.
-        runner(transport, cache, jobs).run_trials(worker, n_units, seed=0)
+    def timed_config(label, transport, cache):
+        # Warm-up on its own seed forks the workers so the measured
+        # rounds see a steady-state fabric, not worker start-up.
+        runner(transport, cache).run_trials(worker, n_units, seed=0)
         times = []
         for seed in seeds:
             start = time.perf_counter()
-            out = runner(transport, cache, jobs).run_trials(
+            out = runner(transport, cache).run_trials(
                 worker, n_units, seed=seed
             )
             times.append(time.perf_counter() - start)
@@ -370,13 +370,6 @@ def bench_dist_scaling(n_units, rounds):
         finally:
             transport.shutdown()
         result[f"tcp_{w}_tput"] = n_units / elapsed
-    for w in (1, DIST_WORKER_COUNTS[-1]):
-        transport = PoolTransport()
-        try:
-            elapsed = timed_config(f"pool x{w}", transport, None, jobs=w)
-        finally:
-            transport.shutdown()
-        result[f"pool_{w}_tput"] = n_units / elapsed
     top = DIST_WORKER_COUNTS[-1]
     result["speedup"] = result[f"tcp_{top}_tput"] / result["tcp_1_tput"]
     return result

@@ -18,7 +18,8 @@ in any byte, if the interrupt did not leave a partial journal behind, or
 if the resume did not actually replay journaled units.  This is the
 executable form of the determinism contract in ``docs/campaigns.md``
 ("Fault tolerance & resume"); the ``chaos-resume`` CI job runs it
-serially and with ``--jobs 4`` on every push.  With ``--steer`` the
+serially and with ``--jobs 4`` (four forked tcp workers) on every
+push.  With ``--steer`` the
 same three legs run the surrogate-steered adaptive campaign
 (``docs/steering.md``) — the resumed run must additionally reproduce
 the reference's steering summary (rounds, trajectory, estimate).
@@ -47,10 +48,10 @@ from repro.runtime import ChaosSpec, ChaosWorker, FaultPolicy, ResultCache  # no
 # Chaos mix: ~1 in 4 units raises, ~1 in 8 kills its worker process.
 # First attempt of a doomed unit fails; retries succeed (fail_attempts=1).
 CHAOS = ChaosSpec(raise_rate=0.25, exit_rate=0.125, seed=7)
-# Tight backoff/poll so the check stays fast; generous retry/respawn
-# budgets so chaos never exhausts a unit.
-POLICY = FaultPolicy(max_retries=6, max_pool_respawns=16,
-                     backoff_base_s=0.001, poll_interval_s=0.02)
+# Tight backoff/poll so the check stays fast; a generous retry budget
+# so chaos never exhausts a unit.
+POLICY = FaultPolicy(max_retries=6, backoff_base_s=0.001,
+                     poll_interval_s=0.02)
 
 
 class _SigintAfter:

@@ -25,7 +25,7 @@ Subpackages
     Sec. V fault-tolerant timing-guaranteed system analysis (Figs. 5-6).
 ``repro.runtime``
     Shared parallel-execution layer: deterministic per-trial seed
-    streams, process-pool campaign fan-out, on-disk result caching,
+    streams, multi-process campaign fan-out, on-disk result caching,
     and progress telemetry (see ``docs/campaigns.md``).
 ``repro.obs``
     Cross-layer observability: hierarchical tracing spans, a

@@ -14,7 +14,7 @@ the paper's Sec. III (and ref [24]) uses:
 
 Campaign execution is delegated to the shared runtime layer
 (:mod:`repro.runtime`): each trial draws from its own deterministic
-seed stream, so campaigns can fan out over a process pool (``jobs``),
+seed stream, so campaigns can fan out over worker processes (``jobs``),
 memoize chunks on disk (``cache``), and report progress — with results
 bit-identical to the serial path.  See ``docs/campaigns.md``.
 
@@ -482,7 +482,7 @@ class FaultInjector:
         :class:`repro.runtime.ResultCache`) memoizes trial chunks;
         ``progress`` receives :class:`repro.runtime.ProgressEvent`
         updates.  ``policy`` (a :class:`repro.runtime.FaultPolicy`)
-        governs per-unit timeouts, retries, and pool respawns;
+        governs per-unit timeouts, retries, and requeues;
         ``resume=True`` replays an interrupted campaign's journal from
         the cache and finishes it bit-identically.  Runner accounting is
         left in ``self.last_run_stats``.
@@ -493,7 +493,7 @@ class FaultInjector:
         cache key, so wrapped campaigns must produce the same records.
 
         ``transport``/``transport_options`` select the execution
-        backend (``"inline"``, ``"pool"``, ``"tcp"``, or a
+        backend (``"inline"``, ``"tcp"``, or a
         :class:`repro.runtime.Transport` instance); every backend
         yields bit-identical records.  See ``docs/distributed.md``.
         """
@@ -545,7 +545,7 @@ def _count_trials(labels):
 
 
 def _random_chunk(injector, elements, chunk):
-    """Execute one trial chunk of a random campaign (process-pool worker).
+    """Execute one trial chunk of a random campaign (campaign worker).
 
     Trial ``i`` draws ``(cycle, element, bit)`` from its own seed stream
     — one vectorized pass over the chunk, equal to per-trial

@@ -141,7 +141,7 @@ class CoordChunk:
 
 
 def _steered_chunk(injector, chunk):
-    """Execute one coordinate chunk (process-pool worker)."""
+    """Execute one coordinate chunk (campaign worker)."""
     with obs.span("arch.fault_injection.chunk", trials=len(chunk)):
         return injector.inject_many(list(chunk.coords))
 

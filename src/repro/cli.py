@@ -23,19 +23,19 @@ on disk so re-runs only execute new points (``--no-cache`` disables,
 ``--cache-dir`` relocates), and ``--progress`` streams trials/sec, an
 ETA, and the outcome histogram to stderr.  Campaigns are fault
 tolerant: failed units retry with backoff (``--max-retries``), hung
-units are detected and retried (``--unit-timeout``), dead worker pools
-respawn, and an interrupted campaign — SIGINT, OOM-killed worker,
+units are detected and retried (``--unit-timeout``), dead workers are
+replaced, and an interrupted campaign — SIGINT, OOM-killed worker,
 reboot — resumes with ``--resume`` to a bit-identical result (see
 ``docs/campaigns.md``, "Fault tolerance & resume").  ``--record DIR`` wraps each
 experiment in a :class:`repro.obs.RunRecorder`: spans, metrics, and
 campaign accounting land in a JSONL run record that ``python -m repro
 report <run-dir>`` renders (see ``docs/observability.md``).
-``--transport`` selects the execution backend (``inline``/``pool``/
-``tcp``); with ``tcp``, the scheduler listens on ``--listen HOST:PORT``
-and ``python -m repro worker --connect HOST:PORT`` processes — spawned
-by ``--workers N`` or launched by hand on any host with a route — dial
-in and execute the campaign's tasks (no shared filesystem needed — see
-``docs/distributed.md``).  The CLI prints the same series the
+``--transport`` selects the execution backend (``inline``/``tcp``);
+with ``tcp``, the scheduler listens on ``--listen HOST:PORT`` and
+workers — forked by ``--workers N``, or ``python -m repro worker
+--connect HOST:PORT`` processes launched by hand on any host with a
+route — dial in and execute the campaign's tasks (no shared filesystem
+needed — see ``docs/distributed.md``).  The CLI prints the same series the
 benchmark harness checks; the full statistical versions live under
 ``benchmarks/``.
 """
@@ -221,9 +221,7 @@ def _print_runtime_stats(stats, unit):
     if stats.retries:
         line += f", {stats.retries} retries"
     if stats.pool_respawns:
-        line += f", {stats.pool_respawns} pool respawns"
-    if stats.degraded_serial:
-        line += ", degraded to serial"
+        line += f", {stats.pool_respawns} worker respawns"
     print(line)
 
 
@@ -455,8 +453,9 @@ def build_parser():
     )
     runtime.add_argument(
         "--unit-timeout", type=_timeout_seconds, default=None, metavar="SECONDS",
-        help="wall-clock budget per unit of work on the pool path; a hung "
-             "unit's pool is torn down and the unit retried",
+        help="wall-clock budget per unit of work, counted from when a "
+             "worker claims it; the local worker holding a hung unit is "
+             "killed and replaced, and the unit retried",
     )
     runtime.add_argument(
         "--max-retries", type=_retries_count, default=None, metavar="N",
@@ -464,11 +463,11 @@ def build_parser():
              "(default 2)",
     )
     runtime.add_argument(
-        "--transport", choices=("auto", "inline", "pool", "tcp"),
+        "--transport", choices=("auto", "inline", "tcp"),
         default="auto",
         help="campaign execution backend (default auto: inline for --jobs 1, "
-             "process pool otherwise; tcp listens on --listen for 'repro "
-             "worker --connect' processes — see docs/distributed.md)",
+             "tcp with --jobs forked workers otherwise; --transport tcp "
+             "takes --listen and --workers — see docs/distributed.md)",
     )
     runtime.add_argument(
         "--listen", default=None, metavar="HOST:PORT",
@@ -480,12 +479,12 @@ def build_parser():
         "--auth", default=None, metavar="SECRET",
         help="shared secret for --transport tcp's connection handshake "
              "(default: $REPRO_TCP_AUTH, else a random secret only "
-             "spawned workers inherit); externally launched workers must "
+             "forked workers inherit); externally launched workers must "
              "be given the same secret — see docs/distributed.md",
     )
     runtime.add_argument(
         "--workers", type=_jobs_count, default=1, metavar="N",
-        help="tcp workers to spawn and babysit (0 = rely on externally "
+        help="tcp workers to fork and babysit (0 = rely on externally "
              "launched 'repro worker' processes; default 1)",
     )
     runtime.add_argument(

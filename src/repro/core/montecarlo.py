@@ -253,12 +253,12 @@ class MonteCarloStudy:
         """Fig. 5 + Fig. 6 data: one :class:`SweepPoint` per level.
 
         Levels are independent and internally seeded, so ``jobs > 1``
-        fans them out over a process pool with results bit-identical to
+        fans them out over worker processes with results bit-identical to
         the serial sweep.  ``cache`` memoizes per-level results keyed by
         the study configuration.  Studies with stateful learned policies
         run serial and uncached (see :meth:`_fingerprint`).  ``policy``
         (a :class:`repro.runtime.FaultPolicy`) governs per-level
-        timeouts, retries, and pool respawns; ``resume=True`` replays an
+        timeouts, retries, and requeues; ``resume=True`` replays an
         interrupted sweep's journaled levels from the cache.
         ``transport``/``transport_options`` select the execution backend
         (see ``docs/distributed.md``); every backend yields bit-identical
@@ -329,5 +329,5 @@ def _policy_tag(policy):
 
 
 def _run_level_worker(study, error_probability):
-    """One sweep level (module-level so the process pool can pickle it)."""
+    """One sweep level (module-level so it pickles for the workers)."""
     return study.run_level(error_probability)

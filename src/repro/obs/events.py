@@ -39,11 +39,11 @@ Emitted event types (see ``docs/observability.md`` for the full table):
                           names the claimant; starts its lease clock)
 ``unit.retry/timeout``    fault-tolerance activity on a unit
 ``cache.hit/miss``        unit-level result-cache traffic during the scan
-``worker.spawn/respawn``  execution-backend lifecycle (pool or tcp)
+``worker.spawn/respawn``  tcp worker lifecycle (forked or reconnected)
 ``worker.heartbeat``      worker liveness, attributed by ``worker`` id —
-                          emitted per executed unit in-process, and
-                          relayed from queue workers' heartbeat files
-                          with their reporting lag (``lag_s``)
+                          emitted per executed unit, and relayed from
+                          tcp workers' heartbeat messages with their
+                          reporting lag (``lag_s``)
 ``fi.ladder``             snapshot-ladder stats of a FI engine build
 ``fi.trials``             per-trial FI rows: ``items`` is a list of
                           ``[cycle, element, bit, outcome]`` coordinates +
@@ -147,9 +147,8 @@ class EventLog:
         """Stop writing through without closing; returns the handle.
 
         :func:`repro.obs.capture` detaches for its duration so captured
-        events travel home in the snapshot — crucial in *forked* pool
-        workers, which inherit the parent's open sink and would
-        otherwise write into it from the wrong process.
+        events travel home in the snapshot, never into a sink from the
+        wrong process.
         """
         sink, self._sink = self._sink, None
         return sink

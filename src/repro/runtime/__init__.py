@@ -21,14 +21,14 @@ they all share:
     runner: lazy unit admission, adaptive task sizing, retries, leases,
     and the manifest journal, over a pluggable transport.
 :mod:`repro.runtime.transports`
-    The execution backends: ``inline`` (serial reference), ``pool``
-    (local process pool), ``tcp`` (a socket served to independent
+    The execution backends: ``inline`` (serial reference) and ``tcp``
+    (a socket served to forked local workers and to independent
     ``repro worker --connect`` processes).  See ``docs/distributed.md``.
 :mod:`repro.runtime.policy`
     :class:`FaultPolicy` — per-unit wall-clock timeouts, bounded retries
-    with deterministically jittered exponential backoff, and
-    BrokenProcessPool respawn caps, so the harness survives the faults
-    this repo exists to study.
+    with deterministically jittered exponential backoff, and requeue
+    caps for units whose workers keep dying, so the harness survives
+    the faults this repo exists to study.
 :mod:`repro.runtime.manifest`
     :class:`CampaignManifest` — append-only journal of completed units
     on top of the result cache; what makes ``--resume`` a first-class,
@@ -43,7 +43,7 @@ they all share:
 
 The runner is also instrumented against :mod:`repro.obs`: with
 collection enabled it opens a ``runtime.campaign`` span per invocation,
-captures spans/metrics recorded inside pool workers and re-parents them
+captures spans/metrics recorded inside workers and re-parents them
 onto the parent process's tree, and notes per-campaign accounting for
 structured run records (``repro <exp> --record`` / ``repro report``).
 
@@ -90,7 +90,6 @@ from repro.runtime.stats import (
 from repro.runtime.telemetry import ProgressEvent, ProgressLog, print_progress
 from repro.runtime.transports import (
     InlineTransport,
-    PoolTransport,
     TcpTransport,
     Transport,
     create_transport,
@@ -122,7 +121,6 @@ __all__ = [
     "chunk_bounds",
     "Transport",
     "InlineTransport",
-    "PoolTransport",
     "TcpTransport",
     "create_transport",
     "tcp_worker_main",

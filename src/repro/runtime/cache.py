@@ -135,10 +135,10 @@ class ResultCache:
     def peek(self, digest):
         """The stored value, or :data:`MISS` — without counting hit/miss.
 
-        The distributed transports use the cache as their data channel
-        (a queue worker persists the value, the scheduler reads it
-        back); those reads must not inflate the campaign's cache-hit
-        accounting, which reports memoization only.
+        The tcp transport with ``shared_cache=True`` uses the cache as
+        its data channel (the worker persists the value, the scheduler
+        reads it back); those reads must not inflate the campaign's
+        cache-hit accounting, which reports memoization only.
         """
         try:
             with open(self._entry(digest), "rb") as fh:

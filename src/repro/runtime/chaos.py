@@ -2,18 +2,18 @@
 
 This repo studies fault injection into *simulated* hardware; this
 module injects faults into the *campaign harness*, so tests and CI can
-prove the runner's fault-tolerance machinery (timeouts, retries, pool
+prove the runner's fault-tolerance machinery (timeouts, retries, worker
 respawn, resume) actually works.  :class:`ChaosWorker` wraps any runner
 worker and, for a deterministically chosen subset of units, makes the
 first ``fail_attempts`` execution attempts misbehave:
 
 ``"raise"``
     raise :class:`ChaosError` inside the worker (exercises the retry
-    path — the future completes with an exception);
+    path — the unit's outcome comes back as an error);
 ``"exit"``
-    kill the worker *process* with ``os._exit`` (exercises
-    ``BrokenProcessPool`` recovery; degraded to ``ChaosError`` when not
-    running inside a pool worker, so a serial run is never killed);
+    kill the worker *process* with ``os._exit`` (exercises worker-death
+    requeue and respawn; degraded to ``ChaosError`` when not running
+    inside a worker, so a serial run is never killed);
 ``"hang"``
     sleep ``hang_s`` seconds (exercises the per-unit timeout path);
 ``"slow"``
@@ -42,7 +42,6 @@ That equivalence is the acceptance contract enforced by
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import zlib
@@ -99,17 +98,13 @@ class ChaosSpec:
         return None
 
 
-def _in_pool_worker():
+def _in_worker():
     """Whether this process is a worker (safe to ``os._exit``).
 
-    Pool workers are ``multiprocessing`` children; tcp workers are
-    free-standing processes that mark themselves with the
-    ``REPRO_WORKER`` environment flag (set by ``repro worker`` before it
-    dials the scheduler).  Either way, hard-exiting kills only the
-    worker — never a scheduler or a test process.
+    Every tcp worker, forked or external, sets the ``REPRO_WORKER``
+    environment flag before it dials the scheduler, so hard-exiting
+    kills only the worker — never a scheduler or a test process.
     """
-    if multiprocessing.parent_process() is not None:
-        return True
     return bool(os.environ.get("REPRO_WORKER"))
 
 
@@ -146,8 +141,8 @@ class ChaosWorker:
             if fate == "raise":
                 raise ChaosError(f"injected failure for {unit!r}")
             if fate == "exit":
-                if _in_pool_worker():
-                    os._exit(17)  # hard death: parent sees BrokenProcessPool
+                if _in_worker():
+                    os._exit(17)  # hard death: the scheduler sees EOF
                 raise ChaosError(f"injected (serial-safe) death for {unit!r}")
             if fate == "hang":
                 time.sleep(self.spec.hang_s)

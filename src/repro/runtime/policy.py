@@ -10,14 +10,14 @@ CampaignRunner` reacts to unit failures:
 * **bounded retries** — a unit whose worker raises (or whose process
   dies) is re-executed up to ``max_retries`` times before the error
   propagates;
-* **per-unit wall-clock timeouts** — on the pool path, a unit running
-  longer than ``unit_timeout_s`` is declared hung, its worker pool is
-  torn down, and the unit is retried (timeouts cannot preempt the
-  serial path — there is nothing to kill — so they apply to pools only);
-* **pool respawns** — a :class:`~concurrent.futures.process.
-  BrokenProcessPool` (worker segfault, OOM kill) respawns the pool up
-  to ``max_pool_respawns`` times, after which execution degrades
-  gracefully to the serial path instead of failing;
+* **per-unit wall-clock timeouts** — on the tcp path, a unit running
+  longer than ``unit_timeout_s`` after a worker claimed it is declared
+  hung, the local worker holding it is killed and replaced, and the
+  unit is retried (timeouts cannot preempt the serial path — there is
+  nothing to kill — so they apply to workers only);
+* **bounded requeues** — a worker that dies (segfault, OOM kill) is
+  replaced and the units it held are requeued without penalty, up to
+  ``max_requeues`` losses per unit;
 * **exponential backoff with deterministic jitter** — attempt ``k`` of
   unit ``i`` waits ``backoff_base_s * backoff_factor**(k-1)`` seconds,
   scaled by a jitter factor drawn from the *documented child seed
@@ -55,14 +55,14 @@ JITTER_STREAM_DOC = "SeedSequence(entropy=jitter_seed, spawn_key=(unit_index, at
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """How the runner reacts to unit failures, hangs, and dead pools.
+    """How the runner reacts to unit failures, hangs, and dead workers.
 
     Parameters
     ----------
     unit_timeout_s:
-        Wall-clock budget per unit on the pool path; ``None`` (default)
-        disables hang detection.  A timed-out unit counts against its
-        retry budget.
+        Wall-clock budget per unit, counted from the moment a worker
+        claims it; ``None`` (default) disables hang detection.  A
+        timed-out unit counts against its retry budget.
     max_retries:
         Re-executions of one unit after its first failure before the
         original error is re-raised.  ``0`` fails fast.
@@ -74,13 +74,10 @@ class FaultPolicy:
     jitter_seed:
         Entropy root of the jitter streams.  Fixed by default so retry
         schedules are reproducible given the retry trace.
-    max_pool_respawns:
-        BrokenProcessPool recoveries before degrading to serial
-        execution for the remaining units.
     max_requeues:
         Times one unit may be *requeued* (lost through no fault of its
-        own: its pool died around it, its tcp worker disconnected or
-        stopped heartbeating) before the loss is treated as a failure
+        own: its worker died around it, disconnected, or stopped
+        heartbeating) before the loss is treated as a failure
         and charged against the retry budget.  Innocent losses normally
         carry no penalty, but a unit that deterministically kills its
         worker produces requeues, not errors — without a cap it would
@@ -118,7 +115,6 @@ class FaultPolicy:
     backoff_factor: float = 2.0
     backoff_jitter: float = 0.1
     jitter_seed: int = 0
-    max_pool_respawns: int = 2
     max_requeues: int = 16
     poll_interval_s: float = 0.1
     target_task_s: float = 0.2
@@ -136,8 +132,6 @@ class FaultPolicy:
             raise ValueError("backoff_factor must be >= 1")
         if not 0.0 <= self.backoff_jitter < 1.0:
             raise ValueError("backoff_jitter must be in [0, 1)")
-        if self.max_pool_respawns < 0:
-            raise ValueError("max_pool_respawns must be non-negative")
         if self.max_requeues is not None and self.max_requeues < 1:
             raise ValueError("max_requeues must be positive (or None)")
         if self.poll_interval_s <= 0:
@@ -166,10 +160,10 @@ class FaultPolicy:
 
 
 #: Policy used when a runner is constructed without one: bounded
-#: retries and pool respawns on, hang detection off (timeouts need an
+#: retries and requeues on, hang detection off (timeouts need an
 #: explicit budget only the caller can know).
 DEFAULT_FAULT_POLICY = FaultPolicy()
 
-#: Fail-fast policy: any unit failure propagates immediately and a
-#: broken pool is not respawned.  Useful in tests asserting error paths.
-FAIL_FAST_POLICY = FaultPolicy(max_retries=0, max_pool_respawns=0)
+#: Fail-fast policy: any unit failure propagates immediately.  Useful in
+#: tests asserting error paths.
+FAIL_FAST_POLICY = FaultPolicy(max_retries=0)

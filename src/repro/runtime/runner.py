@@ -6,8 +6,8 @@ campaigns, the Fig. 5/6 Monte Carlo sweeps, per-element vulnerability
 tables).  It feeds units of work to a
 :class:`~repro.runtime.scheduler.CampaignScheduler` driving a pluggable
 :class:`~repro.runtime.transports.base.Transport` (``inline`` serial
-reference, ``pool`` process pool, ``tcp`` socket stream to external
-workers) and guarantees four properties the studies rely on:
+reference, ``tcp`` socket stream to forked local or external workers)
+and guarantees four properties the studies rely on:
 
 **Determinism** — trial ``i`` draws from the seed stream
 ``SeedSequence(entropy=seed, spawn_key=(i,))`` (see
@@ -28,9 +28,9 @@ worker count changes.
 applied to the harness: unit failures are retried with exponential
 backoff under a :class:`~repro.runtime.policy.FaultPolicy`; units
 exceeding their wall-clock budget (or a remote worker's lease) are
-declared hung and retried; a :class:`~concurrent.futures.process.
-BrokenProcessPool` (worker segfault/OOM kill) respawns the pool up to a
-cap and then degrades gracefully to inline execution.  Completed units
+declared hung and retried (a local worker holding one is killed and
+replaced); a dead worker (segfault, OOM kill) is replaced and its units
+requeue, up to ``max_requeues`` losses per unit.  Completed units
 are journaled through the cache plus a
 :class:`~repro.runtime.manifest.CampaignManifest` owned by the
 scheduler — the single source of truth — so an interrupted campaign
@@ -38,7 +38,7 @@ resumes where it left off and finishes bit-identical to an undisturbed
 run, no matter how many workers died underneath it.  All of it surfaces
 as ``runtime.fault.*`` metrics.
 
-**Graceful degradation** — ``jobs=1`` runs inline with no pool; a
+**Graceful degradation** — ``jobs=1`` runs inline with no workers; a
 worker or item that cannot be pickled falls back to the inline path
 (recorded in :attr:`RunStats.fallback_reason` and counted as
 ``runtime.fault.serial_fallback``) instead of failing, so closures and
@@ -70,7 +70,7 @@ from repro.runtime.scheduler import (  # noqa: F401  (re-exported API)
 )
 from repro.runtime.transports import (
     InlineTransport,
-    PoolTransport,
+    TcpTransport,
     Transport,
     create_transport,
 )
@@ -95,8 +95,7 @@ class RunStats:
     retries: int = 0  # unit re-executions after failures/timeouts
     timeouts: int = 0  # units declared hung (lease/budget expired, retried)
     requeues: int = 0  # units re-dispatched after a voided claim (dead worker)
-    pool_respawns: int = 0  # worker pools/processes recreated
-    degraded_serial: bool = False  # respawn cap hit: remainder ran inline
+    pool_respawns: int = 0  # local worker processes replaced
     resumed: bool = False  # this run was started with resume=True
     journaled_units: int = 0  # units replayed from a prior run's journal
     journaled_trials: int = 0
@@ -119,8 +118,8 @@ class CampaignRunner:
     ----------
     jobs:
         Worker processes.  ``1`` (default) runs inline; ``0`` or ``None``
-        means one per CPU.  Ignored by transports that manage their own
-        capacity (``tcp`` scales with its workers, not ``jobs``).
+        means one per CPU.  An explicitly chosen ``tcp`` transport scales
+        with its own ``workers`` option, not ``jobs``.
     chunk_size:
         Trials per :class:`TrialChunk` in :meth:`run_trials`.  Keep it
         constant across runs that should share cache entries.
@@ -133,14 +132,14 @@ class CampaignRunner:
     progress:
         Optional callback receiving one
         :class:`~repro.runtime.telemetry.ProgressEvent` per finished unit
-        (and one per pool respawn, so a stalled-looking campaign still
+        (and one per worker respawn, so a stalled-looking campaign still
         reports what it is recovering from).
     classify:
         Optional ``result -> label`` used to build the running outcome
         histogram exposed through progress events and :attr:`stats`.
     policy:
         :class:`~repro.runtime.policy.FaultPolicy` governing timeouts,
-        retries, backoff, leases, task sizing, and pool respawns.
+        retries, backoff, leases, requeue caps, and task sizing.
         Defaults to :data:`~repro.runtime.policy.DEFAULT_FAULT_POLICY`.
     resume:
         Declare this run a resume of an interrupted campaign: requires
@@ -151,11 +150,11 @@ class CampaignRunner:
         Where campaign manifests live; defaults to
         ``<cache.path>/manifests`` when a cache is attached.
     transport:
-        Execution backend: a registry name (``"inline"``, ``"pool"``,
-        ``"tcp"``), a :class:`~repro.runtime.transports.base.
-        Transport` instance (reused across runs; the caller owns its
-        :meth:`shutdown`), or ``None`` to pick automatically from
-        ``jobs`` (the historical behaviour).
+        Execution backend: a registry name (``"inline"``, ``"tcp"``), a
+        :class:`~repro.runtime.transports.base.Transport` instance
+        (reused across runs; the caller owns its :meth:`shutdown`), or
+        ``None`` to pick automatically: inline for ``jobs=1`` or fewer
+        than two units, else ``tcp`` with ``jobs`` forked workers.
     transport_options:
         Constructor kwargs when ``transport`` is a registry name — e.g.
         ``{"workers": 4, "port": 7777}`` for ``tcp``.
@@ -249,11 +248,10 @@ class CampaignRunner:
             return self.transport, False
         if isinstance(self.transport, str):
             return create_transport(self.transport, **self.transport_options), True
-        # Automatic selection, preserving the historical rule: one job or
-        # fewer than two units never pays for a pool.
+        # One job or fewer than two units never pays for workers.
         if self.jobs == 1 or len(source) < 2:
             return InlineTransport(), True
-        return PoolTransport(), True
+        return TcpTransport(workers=self.jobs), True
 
     def _execute(self, worker, source, base_key, unit_is_batch):
         stats = RunStats(
@@ -308,7 +306,6 @@ class CampaignRunner:
             "timeouts": stats.timeouts,
             "requeues": stats.requeues,
             "pool_respawns": stats.pool_respawns,
-            "degraded_serial": stats.degraded_serial,
             "resumed": stats.resumed,
             "journaled_units": stats.journaled_units,
             "journaled_trials": stats.journaled_trials,

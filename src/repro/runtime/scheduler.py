@@ -21,8 +21,7 @@ execution.  The loop:
 3. **poll** — collect per-unit outcomes plus lifecycle signals and
    translate them into the same metrics, events, and stats the
    monolithic runner produced: retries with deterministic backoff,
-   timeout/lease expiry, pool respawn accounting, degraded-serial
-   fallback, progress events.
+   timeout/lease expiry, worker respawn accounting, progress events.
 
 Because the scheduler journals through the manifest itself (workers
 only execute, or at most store values into the shared result cache), a
@@ -205,7 +204,7 @@ class _TaskState:
 
     task: object
     remaining: set = field(default_factory=set)
-    deadline: float = None  # monotonic; armed at submit or at claim
+    deadline: float = None  # monotonic; armed when a worker claims the task
 
 
 class CampaignScheduler:
@@ -261,7 +260,6 @@ class CampaignScheduler:
         self._done_trials = 0
         self._started = None
         self._manifest = None
-        self._degraded_span = None
 
     # -- small helpers ---------------------------------------------------
     @property
@@ -420,15 +418,10 @@ class CampaignScheduler:
             self.stats.fallback_reason = f"{type(exc).__name__}: {exc}"
             self.stats.jobs_used = 1
             obs.inc("runtime.fault.serial_fallback")
-            self._swap_transport(InlineTransport())
-
-    def _swap_transport(self, replacement):
-        self.transport.close(hard=True)
-        if self.owns_transport:
-            self.transport.shutdown()
-        self.transport = replacement
-        self.owns_transport = True
-        self.transport.open(self._ctx)
+            self._close_transport(hard=True)
+            self.transport = InlineTransport()
+            self.owns_transport = True
+            self.transport.open(self._ctx)
 
     def _dispatch(self, now):
         """Group ready units into tasks while the transport has slots."""
@@ -452,11 +445,9 @@ class CampaignScheduler:
             mode = self._mode
             for i in batch:
                 obs.emit("unit.submit", unit=i, mode=mode)
-            state = _TaskState(task=task, remaining=set(batch))
-            if (getattr(self.transport, "deadline_mode", None) == "submit"
-                    and self.policy.unit_timeout_s):
-                state.deadline = now + self.policy.unit_timeout_s * len(batch)
-            self._tasks[task.task_id] = state
+            self._tasks[task.task_id] = _TaskState(
+                task=task, remaining=set(batch)
+            )
             for i in batch:
                 self._unit_task[i] = task.task_id
             self.transport.submit(task)
@@ -560,23 +551,12 @@ class CampaignScheduler:
 
     # -- signal handling -------------------------------------------------
     def _note_respawn(self):
-        """Count a pool respawn and keep progress flowing through it."""
+        """Count a worker respawn and keep progress flowing through it."""
         self.stats.pool_respawns += 1
         obs.inc("runtime.fault.pool_respawns")
         obs.emit("worker.respawn", respawns=self.stats.pool_respawns)
         with obs.span("runtime.fault.respawn"):
             self._emit_progress()  # progress still flows during recovery
-
-    def _degrade_to_inline(self):
-        """The transport gave up: run the remainder in-process."""
-        self.stats.degraded_serial = True
-        obs.inc("runtime.fault.degraded_serial")
-        remaining = self._outstanding() + (self._n - self._cursor)
-        self._swap_transport(InlineTransport())
-        self._degraded_span = obs.span(
-            "runtime.fault.degraded_serial", units=remaining
-        )
-        self._degraded_span.__enter__()
 
     def _lease_per_unit(self):
         if self.policy.lease_timeout_s is not None:
@@ -614,12 +594,8 @@ class CampaignScheduler:
             kind = signal.get("kind")
             if kind == "spawn":
                 obs.emit("worker.spawn", workers=signal.get("workers"))
-            elif kind == "broken":
-                obs.inc("runtime.fault.broken_pools")
             elif kind == "respawn":
                 self._note_respawn()
-            elif kind == "degraded":
-                self._degrade_to_inline()
             elif kind == "claim":
                 self._on_claim(signal, now)
             elif kind == "heartbeat":
@@ -685,8 +661,7 @@ class CampaignScheduler:
         self._misses0 = self.cache.stats.misses if self.cache is not None else 0
         self._manifest = self._open_manifest()
         self._ctx = TransportContext(
-            worker=self.worker, collect=obs.enabled(), policy=self.policy,
-            cache=self.cache, jobs=self.jobs,
+            worker=self.worker, collect=obs.enabled(), cache=self.cache,
         )
         stats.transport = self.transport.name
         try:
@@ -726,9 +701,6 @@ class CampaignScheduler:
                 obs.inc("runtime.fault.interrupted")
             raise
         finally:
-            if self._degraded_span is not None:
-                self._degraded_span.__exit__(None, None, None)
-                self._degraded_span = None
             if self._manifest is not None:
                 self._manifest.close()
             stats.elapsed_s = time.perf_counter() - self._started

@@ -37,7 +37,7 @@ class ProgressEvent:
     cache_hits: int = 0  # ResultCache unit hits during this run
     cache_misses: int = 0  # ResultCache unit misses during this run
     retries: int = 0  # unit re-executions after failures/timeouts so far
-    pool_respawns: int = 0  # worker pools recreated so far
+    pool_respawns: int = 0  # local worker processes replaced so far
     workers: dict = field(default_factory=dict)  # worker id -> last heartbeat info
 
     @property

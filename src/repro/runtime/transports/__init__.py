@@ -7,8 +7,8 @@ names to backends:
 name      backend
 ========  ==========================================================
 inline    synchronous in-process execution (the serial reference)
-pool      local :class:`~concurrent.futures.ProcessPoolExecutor`
-tcp       socket stream served to ``repro worker --connect`` processes
+tcp       socket stream served to forked local workers and
+          ``repro worker --connect`` processes
 ========  ==========================================================
 """
 
@@ -22,13 +22,11 @@ from repro.runtime.transports.base import (
     execute_task_units,
 )
 from repro.runtime.transports.inline import LOCAL_WORKER, InlineTransport
-from repro.runtime.transports.pool import PoolTransport
 from repro.runtime.transports.tcp import TcpTransport, tcp_worker_main
 
 #: Registry of constructable transports by CLI/config name.
 TRANSPORTS = {
     "inline": InlineTransport,
-    "pool": PoolTransport,
     "tcp": TcpTransport,
 }
 
@@ -63,7 +61,6 @@ __all__ = [
     "execute_task_units",
     "InlineTransport",
     "LOCAL_WORKER",
-    "PoolTransport",
     "TcpTransport",
     "tcp_worker_main",
     "TRANSPORTS",

@@ -10,22 +10,19 @@ execution backends stay swappable:
     :class:`~repro.runtime.transports.inline.InlineTransport` — executes
     tasks synchronously in the scheduler's process.  The serial
     reference every other backend must match bit-for-bit.
-``pool``
-    :class:`~repro.runtime.transports.pool.PoolTransport` — a
-    :class:`~concurrent.futures.ProcessPoolExecutor` on the local host.
 ``tcp``
     :class:`~repro.runtime.transports.tcp.TcpTransport` — a listening
-    socket served to ``python -m repro worker --connect HOST:PORT``
-    processes over length-prefixed, checksummed pickle frames; the
-    backend for hosts that share no filesystem (results stream over
-    the wire unless a shared cache is configured).
+    socket served to workers forked on the local host and to ``python
+    -m repro worker --connect HOST:PORT`` processes anywhere, over
+    length-prefixed, checksummed pickle frames (results stream over the
+    wire unless a shared cache is configured).
 
 The protocol is deliberately small.  A transport accepts
 :class:`Task`\\ s (one or more units grouped by the scheduler), reports
 per-unit :class:`UnitOutcome`\\ s from :meth:`Transport.poll`, and
 raises nothing across the boundary: worker failures come back as
 ``error`` outcomes, lost work comes back as ``requeue`` outcomes, and
-lifecycle facts (pool broken/respawned, task claimed, worker heartbeat)
+lifecycle facts (worker respawned, task claimed, worker heartbeat)
 come back as plain signal dicts the scheduler translates into metrics,
 events, and policy decisions.  Transports therefore never touch the
 retry budget, the manifest, or the result accounting — kill a backend
@@ -74,9 +71,9 @@ class UnitOutcome:
     ``"error"``
         ``error`` holds the exception; counts against the retry budget.
     ``"requeue"``
-        The unit was lost through no fault of its own (its pool died
-        around it, its worker's connection dropped); the scheduler re-runs
-        it without a retry penalty.
+        The unit was lost through no fault of its own (its worker died
+        around it or its connection dropped); the scheduler re-runs it
+        without a retry penalty.
     """
 
     index: int
@@ -95,9 +92,7 @@ class TransportContext:
 
     worker: object  # the unit callable
     collect: bool  # whether obs collection is on in the scheduler
-    policy: object  # the campaign FaultPolicy
     cache: object  # shared ResultCache (None when uncached)
-    jobs: int  # requested parallelism
 
 
 class Transport:
@@ -109,14 +104,11 @@ class Transport:
 
     ``{"kind": "spawn", "workers": n}``
         Execution capacity came up.
-    ``{"kind": "broken"}``
-        The backend lost its workers (counted, not penalized).
     ``{"kind": "respawn"}``
-        The backend replaced lost workers.
-    ``{"kind": "degraded"}``
-        The backend gave up; the scheduler falls back to inline.
+        The backend replaced a lost worker.
     ``{"kind": "claim", "task_id": t, "worker": w}``
-        A remote worker leased a task (starts its lease clock).
+        A worker leased a task (arms its deadline, if the policy sets
+        one).
     ``{"kind": "heartbeat", "worker": w, "lag_s": s, ...}``
         A worker liveness report, attributed by worker id.
     """
@@ -127,12 +119,6 @@ class Transport:
     #: Whether tasks cross a process boundary (drives the picklability
     #: probe and its serial fallback in the scheduler).
     requires_pickling = False
-
-    #: When the scheduler arms a task's wall-clock deadline: ``"submit"``
-    #: (work starts promptly — process pool), ``"claim"`` (work starts
-    #: when a worker leases the task — tcp), or ``None`` (no
-    #: enforceable deadline — inline).
-    deadline_mode = None
 
     #: Whether :meth:`poll` must be called on a periodic tick even when
     #: nothing else demands one (backends with out-of-band signals such
@@ -159,9 +145,9 @@ class Transport:
         """Abandon hung/leased-out tasks; returns ``(outcomes, signals)``.
 
         The given tasks are forgotten — the scheduler has already
-        penalized their units — but a backend that must destroy shared
-        state to do so (a process pool has no per-task kill) reports the
-        innocent bystander units it dropped as ``requeue`` outcomes.
+        penalized their units.  Units of other tasks a backend loses
+        while doing so (killing the worker that held a hung task) come
+        back as ``requeue`` outcomes, now or from a later :meth:`poll`.
         """
         raise NotImplementedError
 
@@ -170,7 +156,7 @@ class Transport:
         raise NotImplementedError
 
     def shutdown(self):
-        """Release everything the transport owns (spawned workers, ...).
+        """Release everything the transport owns (forked workers, ...).
 
         Separate from :meth:`close` so a transport instance can be
         reused across several campaign runs (open/close per run) before
@@ -186,8 +172,8 @@ class Transport:
 def execute_task_units(worker, task, collect, worker_id):
     """Run one task's units in order; the shared worker-side loop.
 
-    Used verbatim by every backend (inline in-process, pool workers,
-    tcp workers), which is what keeps their results bit-identical:
+    Used verbatim by every backend (inline in-process, tcp workers),
+    which is what keeps their results bit-identical:
     the unit callable sees exactly the same payloads in the same order
     no matter where it runs.  Each unit is timed (feeding the
     scheduler's adaptive task sizing) and, when ``collect`` is set,

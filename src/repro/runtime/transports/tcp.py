@@ -1,13 +1,12 @@
 """TCP socket transport: campaign tasks over a stream, no shared disk.
 
-The transport for workers outside the scheduler's process pool: on the
-same host over localhost, or on any host with a route to the scheduler
-(no filesystem in common needed).  The scheduler listens on a
-``host:port``, independently launched ``python -m repro worker
---connect HOST:PORT`` processes dial in, and everything — tasks,
-claims, results, heartbeats, stop — travels as length-prefixed,
-versioned, CRC-checked pickle frames (see
-:mod:`~repro.runtime.transports.wire`).
+The one parallel backend.  The scheduler listens on a ``host:port``;
+workers forked from the scheduler (``workers=N``, dialing over
+localhost) and independently launched ``python -m repro worker
+--connect HOST:PORT`` processes on any host with a route (no
+filesystem in common needed) dial in, and everything — tasks, claims,
+results, heartbeats, stop — travels as length-prefixed, versioned,
+CRC-checked pickle frames (see :mod:`~repro.runtime.transports.wire`).
 
 Every frame is small (hello, task, claim, heartbeat, result), so both
 ends set ``TCP_NODELAY``: with Nagle's algorithm on, a frame that
@@ -15,15 +14,14 @@ follows an unacknowledged one waits for the peer's delayed ACK, which
 stalls every task by tens of milliseconds.
 
 The scheduler drives the protocol through its claim-lease machinery
-(``deadline_mode="claim"``, requeues bounded by
-``policy.max_requeues``):
+(deadlines armed at claim, requeues bounded by ``policy.max_requeues``):
 
 * **authentication** — the messages are pickles, and unpickling bytes
   from an unauthenticated socket would hand arbitrary code execution to
   anyone who can reach the port.  Every connection therefore starts
   with the wire layer's mutual HMAC challenge/response over a shared
-  secret (``--auth`` / ``$REPRO_TCP_AUTH``; auto-generated and passed
-  to spawned workers through their environment when not configured):
+  secret (``--auth`` / ``$REPRO_TCP_AUTH``; auto-generated and handed
+  to forked workers as an argument when not configured):
   the scheduler deserializes nothing from a peer that has not answered
   its challenge, and the worker unpickles no payload from a scheduler
   that has not answered *its* counter-challenge.  The handshake
@@ -35,7 +33,9 @@ The scheduler drives the protocol through its claim-lease machinery
 * **claim** — the worker announces a task the moment it starts
   executing it; the scheduler arms a per-unit lease from that moment
   (``policy.lease_timeout_s``), so a worker that hangs holding a task
-  has it voided and re-dispatched.
+  has it voided and re-dispatched.  A forked worker holding an expired
+  task is SIGKILLed and replaced (its other tasks requeue through the
+  EOF path); an external worker can only be sent a ``cancel``.
 * **result streaming** — with no shared :class:`ResultCache`, unit
   values ride the wire inside the result message, chunk-framed when
   large.  With ``shared_cache=True`` (hosts that share a filesystem)
@@ -56,22 +56,28 @@ Workers reconnect with jittered exponential backoff when the scheduler
 goes away (a ``--resume`` reuses them), drain gracefully on ``stop``,
 and discard their local task queue on disconnect — the scheduler has
 already requeued everything they held.
+
+Local workers are forked on the first :meth:`TcpTransport.submit`, not
+in :meth:`~TcpTransport.open`: a fully cached run, or one whose workload
+cannot be pickled (the scheduler swaps it to inline before submitting),
+forks nothing.  Forking skips the interpreter start and package imports
+a fresh ``python -m repro worker`` pays (~0.25 s per worker).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import random
 import secrets
 import selectors
+import signal
 import socket
-import subprocess
 import sys
 import threading
 import time
 from collections import deque
-from pathlib import Path
 
 from repro import obs
 from repro.runtime.cache import MISS
@@ -108,10 +114,13 @@ HEARTBEAT_STALE_S = 5.0
 #: tell "safe to hard-exit" apart from "would kill the scheduler").
 WORKER_ENV_FLAG = "REPRO_WORKER"
 
-#: Environment variable carrying the shared handshake secret to workers
-#: (spawned workers inherit it automatically; external ones must be
+#: Environment variable carrying the shared handshake secret to external
+#: workers (forked workers get it as an argument; external ones must be
 #: given it, via this variable or ``repro worker --auth``).
 AUTH_ENV = "REPRO_TCP_AUTH"
+
+#: Start method of local workers (see the module docstring).
+_FORK = multiprocessing.get_context("fork")
 
 #: Ceiling on one blocking send before the peer is presumed gone.
 SEND_TIMEOUT_S = 30.0
@@ -157,17 +166,23 @@ def _dial(host, port):
     )
 
 
-def _worker_env(auth):
-    """Environment for a spawned worker: flag, secret, package importable."""
-    env = dict(os.environ)
-    env[WORKER_ENV_FLAG] = "1"
-    env[AUTH_ENV] = auth
-    package_root = str(Path(__file__).resolve().parents[3])
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        package_root + os.pathsep + existing if existing else package_root
-    )
-    return env
+def _forked_worker_main(inherited, address, worker_id, poll_s, auth):
+    """Child side of a forked local worker: shed the scheduler, then serve.
+
+    The child closes its copies of the scheduler's listener and
+    connection sockets (otherwise a connection the scheduler drops would
+    never EOF at its peer), closes its copy of the run's event sink (the
+    parent flushed it just before forking, so nothing is written twice),
+    starts with collection off as a fresh worker process would, and
+    leaves SIGINT to the scheduler, which stops its workers itself.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for sock in inherited:
+        sock.close()
+    obs.EVENTS.unbind()
+    obs.disable()
+    obs.reset()
+    tcp_worker_main(address, worker_id, poll_s, auth)
 
 
 class _Conn:
@@ -200,18 +215,17 @@ class TcpTransport(Transport):
         :meth:`ensure_listening` / :attr:`address` report the bound one
         so externally launched workers know where to dial.
     workers:
-        Worker processes to spawn locally and babysit
-        (``python -m repro worker --connect``).  ``0`` relies entirely
-        on workers launched elsewhere; dead spawned workers are
-        respawned, and ``policy.max_requeues`` bounds a workload that
-        keeps killing them.
+        Worker processes to fork locally (on the first submission) and
+        babysit.  ``0`` relies entirely on workers launched elsewhere;
+        dead forked workers are replaced, and ``policy.max_requeues``
+        bounds a workload that keeps killing them.
     queue_depth:
         Tasks outstanding per live worker — the backpressure knob that
         keeps each worker's next task queued behind its current one.
     poll_s:
         Scheduler-side select granularity while waiting for traffic.
     worker_poll_s:
-        Idle receive tick passed to spawned workers.
+        Idle receive tick passed to forked workers.
     stale_s:
         Heartbeat age past which a connection is presumed half-open and
         dropped (its tasks requeue).  Judged from scheduler-local
@@ -225,8 +239,8 @@ class TcpTransport(Transport):
     auth:
         Shared secret for the connection handshake.  Defaults to
         ``$REPRO_TCP_AUTH``, else a random per-transport secret that
-        only spawned workers (who inherit it through their environment)
-        can answer — externally launched workers then need the secret
+        only forked workers (handed it as an argument) can answer —
+        externally launched workers then need the secret
         handed to them (``repro worker --auth`` / ``$REPRO_TCP_AUTH``;
         read it from :attr:`auth`).  A peer that cannot answer the
         challenge is dropped before any of its bytes are deserialized.
@@ -234,7 +248,6 @@ class TcpTransport(Transport):
 
     name = "tcp"
     requires_pickling = True
-    deadline_mode = "claim"
     needs_poll_tick = True
 
     def __init__(self, host="127.0.0.1", port=0, workers=0, queue_depth=2,
@@ -341,40 +354,32 @@ class TcpTransport(Transport):
         # A reused transport may still hold live connections from the
         # previous run (close() keeps them warm for --resume): hand each
         # the fresh payload so their next tasks run this campaign.
+        warm = 0
         for conn in list(self._conns):
-            if conn.worker_id is not None:
-                self._send(conn, self._payload_msg)
-        self._reap_procs()
-        while len(self._procs) < self.workers:
-            self._spawn_worker()
-        capacity = len(self._procs) + sum(
-            1 for conn in self._conns if conn.worker_id is not None
-        )
-        if capacity:
-            self._buffer.signals.append({"kind": "spawn", "workers": capacity})
+            if conn.worker_id is not None and self._send(conn, self._payload_msg):
+                warm += 1
+        if warm:
+            self._buffer.signals.append({"kind": "spawn", "workers": warm})
 
-    def _spawn_worker(self):
-        """Launch one ``python -m repro worker --connect`` child."""
+    def _fork_worker(self):
+        """Fork one local worker that dials this transport's listener."""
         self._spawn_seq += 1
         worker_id = f"w{os.getpid()}-{self._spawn_seq}"
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker",
-                "--connect", self.address, "--id", worker_id,
-                "--poll", str(self.worker_poll_s),
-            ],
-            env=_worker_env(self.auth),
-            stdout=subprocess.DEVNULL,
+        inherited = [self._listener] + [conn.sock for conn in self._conns]
+        proc = _FORK.Process(
+            target=_forked_worker_main,
+            args=(inherited, self.address, worker_id, self.worker_poll_s,
+                  self.auth),
+            name=f"repro-worker-{worker_id}",
+            daemon=True,
         )
+        obs.EVENTS.flush()  # the child must not inherit unwritten lines
+        proc.start()
         self._procs.append(proc)
-        return proc
-
-    def _reap_procs(self):
-        self._procs = [proc for proc in self._procs if proc.poll() is None]
 
     def worker_pids(self):
-        """PIDs of the spawned workers (chaos tooling kills these)."""
-        return [proc.pid for proc in self._procs if proc.poll() is None]
+        """PIDs of the live forked workers (chaos tooling kills these)."""
+        return [proc.pid for proc in self._procs if proc.is_alive()]
 
     def claim_holders(self):
         """Worker ids currently holding a claimed task (smoke tooling).
@@ -398,7 +403,7 @@ class TcpTransport(Transport):
     # -- capacity ----------------------------------------------------------
     def _live_workers(self):
         connected = sum(1 for conn in self._conns if conn.worker_id is not None)
-        alive = sum(1 for proc in self._procs if proc.poll() is None)
+        alive = sum(1 for proc in self._procs if proc.is_alive())
         return max(connected, alive, 1)
 
     def slots(self):
@@ -455,7 +460,16 @@ class TcpTransport(Transport):
 
     # -- protocol ----------------------------------------------------------
     def submit(self, task):
-        """Queue one task; it flows to a worker as soon as one has room."""
+        """Queue one task; it flows to a worker as soon as one has room.
+
+        The first submission forks the local workers; afterwards
+        :meth:`poll` replaces any that die.
+        """
+        missing = self.workers - len(self._procs)
+        if missing > 0:
+            for _ in range(missing):
+                self._fork_worker()
+            self._buffer.signals.append({"kind": "spawn", "workers": missing})
         self._inflight[task.task_id] = task
         self._pending.append(task)
         self._flush_pending()
@@ -736,15 +750,21 @@ class TcpTransport(Transport):
 
     def _reap_and_respawn(self):
         for proc in list(self._procs):
-            if proc.poll() is None:
+            if proc.is_alive():
                 continue
             self._procs.remove(proc)
             if len(self._procs) < self.workers:
-                self._spawn_worker()
+                self._fork_worker()
                 self._buffer.signals.append({"kind": "respawn"})
 
     def expire(self, task_ids):
-        """Void dead leases: forget the tasks, tell their holders."""
+        """Void dead leases: forget the tasks, stop their holders.
+
+        A forked worker holding an expired task is SIGKILLed — a hung
+        unit cannot be interrupted any other way — and its connection's
+        EOF requeues its other tasks; :meth:`poll` then forks its
+        replacement.  An external worker is only told to ``cancel``.
+        """
         cancelled = {}
         expired = set(task_ids)
         for task_id in task_ids:
@@ -757,8 +777,12 @@ class TcpTransport(Transport):
         self._pending = deque(
             task for task in self._pending if task.task_id not in expired
         )
+        owned = {proc.pid: proc for proc in self._procs}
         for conn, ids in cancelled.values():
-            self._send(conn, encode_message({"kind": "cancel", "tasks": ids}))
+            if conn.pid in owned:
+                owned[conn.pid].kill()
+            else:
+                self._send(conn, encode_message({"kind": "cancel", "tasks": ids}))
         return self._buffer.drain()
 
     def close(self, hard=False):
@@ -804,11 +828,11 @@ class TcpTransport(Transport):
             self._selector.close()
             self._selector = None
         for proc in self._procs:
-            try:
-                proc.terminate()
-                proc.wait(timeout=5.0)
-            except (OSError, subprocess.TimeoutExpired):
+            proc.terminate()
+            proc.join(timeout=5.0)
+            if proc.is_alive():
                 proc.kill()
+                proc.join()
         self._procs = []
 
     def describe(self):

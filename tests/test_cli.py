@@ -122,6 +122,34 @@ class TestMain:
         assert "engine" not in config
         assert config["resolved"]["fi_engine"]["engine"] == "reference"
 
+    def test_fi_parallel_recorded_run_reconciles(self, capsys, tmp_path,
+                                                 monkeypatch):
+        """A recorded --jobs 2 campaign runs on forked tcp workers, and
+        its event stream still reconciles with the outcome histogram:
+        nothing dropped, no line written twice by a forked child."""
+        from collections import Counter
+
+        from repro.obs import load_run_record, read_events, trial_rows
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runs = tmp_path / "runs"
+        # 2560 trials = three 1024-trial chunks: enough units for workers.
+        assert main(["fi", "--trials", "2560", "--jobs", "2", "--no-cache",
+                     "--record", str(runs)]) == 0
+        capsys.readouterr()
+        (run_dir,) = runs.iterdir()
+        record = load_run_record(run_dir)
+        (campaign,) = record["campaigns"]["campaigns"]
+        assert campaign["transport"] == "tcp"
+        assert record["meta"]["events_dropped"] == 0
+        events_path = run_dir / record["meta"]["events_file"]
+        lines = events_path.read_text().splitlines()
+        assert len(lines) == len(set(lines))
+        histogram = record["outcomes"]["histogram"]
+        rows = trial_rows(read_events(events_path))
+        assert Counter(row[3] for row in rows) == Counter(histogram)
+        assert sum(histogram.values()) == 2560
+
     def test_fig5_reference_kernel_runs(self, capsys):
         # The Fig. 5 statistic is draw-for-draw identical across kernels,
         # so the rendered table must not change under --reference-kernel.
@@ -267,7 +295,7 @@ class TestWorkerCLI:
         assert "unrecognized arguments: --once" in capsys.readouterr().err
 
     def test_tcp_is_the_only_external_transport(self, capsys):
-        """Any name outside inline/pool/tcp is an argparse error (exit 2)."""
+        """Any name outside inline/tcp is an argparse error (exit 2)."""
         from repro.cli import build_parser
 
         parser = build_parser()
@@ -275,11 +303,12 @@ class TestWorkerCLI:
             action.choices for action in parser._actions
             if action.dest == "transport"
         )
-        assert tuple(choices) == ("auto", "inline", "pool", "tcp")
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["fi", "--transport", "carrier-pigeon"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert tuple(choices) == ("auto", "inline", "tcp")
+        for name in ("carrier-pigeon", "pool"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["fi", "--transport", name])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_malformed_connect_address_is_a_clean_error(self, capsys):
         from repro.cli import run_worker

@@ -33,7 +33,7 @@ def _clean_obs_state():
 
 
 def _span_chunk(chunk):
-    """Module-level worker that opens spans (picklable for the pool)."""
+    """Module-level worker that opens spans (picklable for the workers)."""
     with obs.span("test.worker.chunk", trials=len(chunk)):
         results = []
         for rng in chunk.rngs():

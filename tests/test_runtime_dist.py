@@ -22,13 +22,12 @@ from repro.runtime import (
     ChaosWorker,
     FaultPolicy,
     InlineTransport,
-    PoolTransport,
     ResultCache,
     TcpTransport,
     create_transport,
 )
 from repro.runtime.cache import MISS
-from repro.runtime.transports import Task
+from repro.runtime.transports import TRANSPORTS, Task
 from repro.runtime.transports.base import TransportContext
 from repro.runtime.transports.tcp import AUTH_ENV, _Conn, _dial
 from repro.runtime.transports.wire import (
@@ -107,7 +106,12 @@ def _assign(transport, conn, task_id="t1", indices=(0, 1)):
 class TestTransportRegistry:
     def test_create_transport_by_name(self):
         assert isinstance(create_transport("inline"), InlineTransport)
-        assert isinstance(create_transport("pool"), PoolTransport)
+        assert set(TRANSPORTS) == {"inline", "tcp"}
+
+    def test_pool_transport_is_gone(self):
+        """``pool`` is not a transport name (local workers are forked)."""
+        with pytest.raises(ValueError, match="unknown transport 'pool'"):
+            create_transport("pool")
 
     def test_unknown_transport_name_lists_known(self):
         with pytest.raises(ValueError, match="inline"):
@@ -126,7 +130,7 @@ class TestTransportRegistry:
 
     @pytest.mark.parametrize("name,kwargs", [
         ("inline", {"workers": 2}),
-        ("pool", {"listen": "host:1"}),
+        ("tcp", {"worker": 2}),
         ("tcp", {"listen": "host:1"}),
         ("tcp", {"once": True}),
     ])
@@ -163,13 +167,17 @@ class TestDescribeRoundTrip:
         return notes[-1]["transport_info"]
 
     def test_inline_and_pool(self):
+        """jobs=1 runs inline; jobs=2 picks tcp with two forked workers."""
         with obs.collecting():
             CampaignRunner(jobs=1).run_trials(_draw_chunk, 6, seed=5)
             assert self._last_note() == {"transport": "inline"}
-            CampaignRunner(jobs=2, transport="pool").run_trials(
+            CampaignRunner(jobs=2, chunk_size=6).run_trials(
                 _draw_chunk, 12, seed=5
             )
-            assert self._last_note() == {"transport": "pool", "workers": 2}
+            info = self._last_note()
+        assert info["transport"] == "tcp"
+        assert info["workers"] == 2
+        assert info["address"].startswith("127.0.0.1:")
 
     def test_tcp_shared_cache(self, tmp_path):
         with obs.collecting():
@@ -203,10 +211,29 @@ class TestTransportParity:
     """Every backend must reproduce the inline reference bit-for-bit."""
 
     def test_pool_matches_inline(self):
+        """The automatic parallel backend (forked tcp workers)."""
         reference = _reference()
-        runner = CampaignRunner(jobs=2, chunk_size=6, transport="pool")
+        runner = CampaignRunner(jobs=2, chunk_size=6)
         assert runner.run_trials(_draw_chunk, 60, seed=5) == reference
-        assert runner.stats.transport == "pool"
+        assert runner.stats.transport == "tcp"
+
+    def test_fully_cached_rerun_forks_no_worker(self, tmp_path, monkeypatch):
+        """Workers are forked on the first submission, so a rerun that
+        the cache satisfies entirely never forks one."""
+        cache = ResultCache(tmp_path / "cache")
+        first = CampaignRunner(jobs=2, chunk_size=6, cache=cache)
+        assert first.run_trials(_draw_chunk, 60, seed=5) == _reference()
+        forks = []
+        original = TcpTransport._fork_worker
+        monkeypatch.setattr(
+            TcpTransport, "_fork_worker",
+            lambda self: forks.append(self) or original(self),
+        )
+        rerun = CampaignRunner(jobs=2, chunk_size=6, cache=cache)
+        assert rerun.run_trials(_draw_chunk, 60, seed=5) == _reference()
+        assert rerun.stats.transport == "tcp"
+        assert rerun.stats.units_cached == rerun.stats.units_total
+        assert forks == []
 
     def test_tcp_map_with_shared_cache_matches_inline(self, tmp_path):
         """Mapped items keyed by ``item_keys``: workers store each value
@@ -233,7 +260,7 @@ class TestTransportParity:
                 policy=FaultPolicy(**FAST), transport=transport,
             )
             first = runner.run_trials(_draw_chunk, 30, seed=5)
-            # The spawned worker survives close() for reuse by a second run.
+            # The forked worker survives close() for reuse by a second run.
             assert transport.worker_pids()
             second = CampaignRunner(
                 jobs=1, chunk_size=6, cache=ResultCache(tmp_path / "cache2"),
@@ -398,7 +425,7 @@ class TestQueueProtocol:
 
     def test_unpicklable_worker_falls_back_to_inline(self, tmp_path):
         """A callable that will not pickle at all trips the scheduler's
-        probe, and the campaign completes inline (the pool contract)."""
+        probe, and the campaign completes inline."""
 
         def local_worker(chunk):  # closures never pickle
             return [float(i) for i in chunk.indices]
@@ -573,7 +600,7 @@ class TestWorkerAttribution:
         assert event.workers["w-fast"]["units_done"] == 2
 
     def test_runner_stats_name_pool_workers(self):
-        runner = CampaignRunner(jobs=2, chunk_size=6, transport="pool")
+        runner = CampaignRunner(jobs=2, chunk_size=6)
         runner.run_trials(_draw_chunk, 36, seed=5)
         assert runner.stats.workers
         assert all(w.startswith("w") for w in runner.stats.workers)
@@ -988,9 +1015,11 @@ class TestTcpNoDelay:
         transport = TcpTransport(workers=1)
         try:
             transport.open(TransportContext(
-                worker=_square, collect=False, policy=FaultPolicy(),
-                cache=None, jobs=1,
+                worker=_square, collect=False, cache=None,
             ))
+            # The local worker is forked on the first submission.
+            transport.submit(Task(task_id="t0", indices=(0,), items=(2.0,),
+                                  digests=(None,)))
             assert _poll_until(transport, lambda: any(
                 conn.worker_id is not None for conn in transport._conns
             ), timeout_s=30.0)

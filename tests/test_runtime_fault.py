@@ -3,6 +3,7 @@ chaos injection, and checkpoint/resume (repro.runtime.{policy,chaos,
 manifest} + the runner's recovery paths)."""
 
 import pickle
+import time
 
 import pytest
 
@@ -62,8 +63,6 @@ class TestFaultPolicy:
             FaultPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             FaultPolicy(backoff_jitter=1.0)
-        with pytest.raises(ValueError):
-            FaultPolicy(max_pool_respawns=-1)
 
     def test_backoff_is_exponential_with_bounded_jitter(self):
         policy = FaultPolicy(backoff_base_s=0.1, backoff_factor=2.0,
@@ -191,18 +190,25 @@ class TestRetries:
 
 class TestTimeouts:
     def test_hung_unit_is_killed_and_retried(self, tmp_path):
+        """The forked worker holding a hung unit is killed and replaced:
+        the campaign finishes long before the hang would have ended."""
         reference = _reference(n_trials=42, chunk_size=7)
         spec = ChaosSpec(hang_rate=0.3, hang_s=10.0, seed=3)
         worker = ChaosWorker(_draw_chunk, spec, tmp_path)
         policy = FaultPolicy(unit_timeout_s=0.5, max_retries=2, **FAST)
         runner = CampaignRunner(jobs=3, chunk_size=7, policy=policy)
         with obs.collecting():
+            started = time.monotonic()
             results = runner.run_trials(worker, 42, seed=5)
+            elapsed = time.monotonic() - started
             counters = obs.metrics_snapshot()["counters"]
         assert results == reference
+        assert runner.stats.transport == "tcp"
+        assert elapsed < spec.hang_s
         assert runner.stats.timeouts > 0
         assert runner.stats.pool_respawns > 0
         assert counters["runtime.fault.timeouts"] == runner.stats.timeouts
+        assert counters["runtime.fault.pool_respawns"] == runner.stats.pool_respawns
 
     def test_timeout_exhaustion_raises_unit_timeout_error(self, tmp_path):
         spec = ChaosSpec(hang_rate=1.0, hang_s=10.0, fail_attempts=99, seed=0)
@@ -215,27 +221,16 @@ class TestTimeouts:
 
 class TestBrokenPoolRecovery:
     def test_worker_death_respawns_pool_and_matches_reference(self, tmp_path):
+        """Dead forked workers are replaced and their units requeued."""
         reference = _reference()
         spec = ChaosSpec(exit_rate=0.3, seed=4)
         worker = ChaosWorker(_draw_chunk, spec, tmp_path)
-        policy = FaultPolicy(max_retries=4, max_pool_respawns=8, **FAST)
+        policy = FaultPolicy(max_retries=4, **FAST)
         runner = CampaignRunner(jobs=4, chunk_size=7, policy=policy)
         assert runner.run_trials(worker, 80, seed=5) == reference
+        assert runner.stats.transport == "tcp"
         assert runner.stats.pool_respawns > 0
-        assert not runner.stats.degraded_serial
-
-    def test_respawn_cap_degrades_to_serial(self, tmp_path):
-        reference = _reference()
-        spec = ChaosSpec(exit_rate=0.3, seed=4)
-        worker = ChaosWorker(_draw_chunk, spec, tmp_path)
-        policy = FaultPolicy(max_retries=6, max_pool_respawns=0, **FAST)
-        runner = CampaignRunner(jobs=4, chunk_size=7, policy=policy)
-        with obs.collecting():
-            results = runner.run_trials(worker, 80, seed=5)
-            counters = obs.metrics_snapshot()["counters"]
-        assert results == reference
-        assert runner.stats.degraded_serial
-        assert counters["runtime.fault.degraded_serial"] == 1
+        assert runner.stats.requeues > 0
 
 
 class _InterruptAfter:

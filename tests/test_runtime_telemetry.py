@@ -1,5 +1,5 @@
 """Telemetry edge cases (repro.runtime.telemetry): ETA on resumed
-campaigns, progress during pool respawns, and retry accounting."""
+campaigns, progress during worker respawns, and retry accounting."""
 
 import io
 
@@ -79,7 +79,7 @@ class TestProgressDuringPoolRespawn:
         spec = ChaosSpec(exit_rate=0.3, seed=4)
         worker = ChaosWorker(_draw_chunk, spec, tmp_path / "chaos")
         log = ProgressLog()
-        policy = FaultPolicy(max_retries=4, max_pool_respawns=8, **FAST)
+        policy = FaultPolicy(max_retries=4, **FAST)
         runner = CampaignRunner(jobs=4, chunk_size=7, policy=policy,
                                 progress=log)
         runner.run_trials(worker, 80, seed=5)
