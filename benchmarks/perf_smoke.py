@@ -361,8 +361,8 @@ def bench_dist_scaling(n_units, rounds):
         "worker_counts": list(DIST_WORKER_COUNTS),
     }
     for w in DIST_WORKER_COUNTS:
-        # cache=None: results stream back over the socket, so the row
-        # times the wire path, not the shared-cache one.
+        # cache=None: the row times the socket path alone, with no
+        # cache writes on the scheduler side.
         transport = TcpTransport(workers=w, poll_s=0.005,
                                  worker_poll_s=0.005)
         try:

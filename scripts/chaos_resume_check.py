@@ -32,9 +32,6 @@ Run locally with::
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
-import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -45,6 +42,8 @@ from repro.arch import FaultInjector, SteeringConfig  # noqa: E402
 from repro.arch import programs as P  # noqa: E402
 from repro.runtime import ChaosSpec, ChaosWorker, FaultPolicy, ResultCache  # noqa: E402
 
+from _campaign_checks import SigintAfter, campaign_digest  # noqa: E402
+
 # Chaos mix: ~1 in 4 units raises, ~1 in 8 kills its worker process.
 # First attempt of a doomed unit fails; retries succeed (fail_attempts=1).
 CHAOS = ChaosSpec(raise_rate=0.25, exit_rate=0.125, seed=7)
@@ -52,37 +51,6 @@ CHAOS = ChaosSpec(raise_rate=0.25, exit_rate=0.125, seed=7)
 # so chaos never exhausts a unit.
 POLICY = FaultPolicy(max_retries=6, backoff_base_s=0.001,
                      poll_interval_s=0.02)
-
-
-class _SigintAfter:
-    """Progress callback that delivers a real SIGINT after ``n`` events."""
-
-    def __init__(self, n):
-        self.n = n
-        self.seen = 0
-
-    def __call__(self, event):
-        self.seen += 1
-        if self.seen == self.n:
-            signal.raise_signal(signal.SIGINT)
-
-
-def campaign_digest(result):
-    """SHA-256 over every field of every record, in trial order.
-
-    Canonical JSON, not pickle: pickle memoizes repeated string
-    *objects*, so value-equal records serialize differently depending on
-    whether they came from the cache or from a live worker.
-    """
-    payload = json.dumps(
-        [
-            (r.program, r.cycle, r.element, r.bit, r.outcome.value,
-             r.pc_at_injection, r.opcode_at_injection)
-            for r in result.records
-        ],
-        separators=(",", ":"),
-    ).encode()
-    return hashlib.sha256(payload).hexdigest()
 
 
 def _injector():
@@ -152,7 +120,7 @@ def check(jobs, trials, workdir, record_dir, steer=False):
     interrupted = False
     try:
         _run(jobs, trials, chaos_cache, chaos_dir=chaos_dir,
-             progress=_SigintAfter(3), steer=steer)
+             progress=SigintAfter(3), steer=steer)
     except KeyboardInterrupt:
         interrupted = True
     if not interrupted:

@@ -33,10 +33,7 @@ Run locally with::
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -57,6 +54,8 @@ from repro.runtime import (  # noqa: E402
 )
 from repro.runtime.transports.tcp import AUTH_ENV  # noqa: E402
 
+from _campaign_checks import SigintAfter, campaign_digest  # noqa: E402
+
 # Tight backoff/poll so the check stays fast; a generous retry budget so
 # a voided lease (the murdered worker's units) never exhausts a unit.
 POLICY = FaultPolicy(max_retries=6, backoff_base_s=0.001,
@@ -72,37 +71,6 @@ SLOW = ChaosSpec(slow_rate=1.0, slow_s=0.1, fail_attempts=10**6, seed=1)
 STALE_S = 2.0
 #: Idle-poll of the externally spawned workers and of the transport.
 POLL_S = 0.02
-
-
-class _SigintAfter:
-    """Progress callback that delivers a real SIGINT after ``n`` events."""
-
-    def __init__(self, n):
-        self.n = n
-        self.seen = 0
-
-    def __call__(self, event):
-        self.seen += 1
-        if self.seen == self.n:
-            signal.raise_signal(signal.SIGINT)
-
-
-def campaign_digest(result):
-    """SHA-256 over every field of every record, in trial order.
-
-    Canonical JSON, not pickle: pickle memoizes repeated string
-    *objects*, so value-equal records serialize differently depending on
-    whether they came from the cache or from a live worker.
-    """
-    payload = json.dumps(
-        [
-            (r.program, r.cycle, r.element, r.bit, r.outcome.value,
-             r.pc_at_injection, r.opcode_at_injection)
-            for r in result.records
-        ],
-        separators=(",", ":"),
-    ).encode()
-    return hashlib.sha256(payload).hexdigest()
 
 
 def _injector():
@@ -225,7 +193,7 @@ def _resume_leg(trials, workdir, ref_digest):
     interrupted = False
     transport = _make_transport(workers=2)
     try:
-        _run(trials, cache, transport=transport, progress=_SigintAfter(3))
+        _run(trials, cache, transport=transport, progress=SigintAfter(3))
     except KeyboardInterrupt:
         interrupted = True
     finally:

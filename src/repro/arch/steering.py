@@ -22,8 +22,7 @@ campaign scheduler:
   proportionally; later rounds allocate by a Neyman rule
   ``n_s ~ q_s * sqrt(p~_s (1 - p~_s))`` where ``p~_s`` blends the
   observed stratum rate with a surrogate model
-  (:class:`repro.ml.GradientBoostingClassifier` or
-  :class:`repro.ml.KNeighborsClassifier`, refit online on
+  (:class:`repro.ml.GradientBoostingClassifier`, refit online on
   :func:`repro.arch.vulnerability.element_features` + cycle-phase
   features), mixed with an ``explore`` floor of the uniform measure.
 * After every sealed round the CI half-width of the estimate is checked
@@ -76,7 +75,7 @@ STEER_STREAM_DOC = (
 #: :meth:`CampaignResult.failure_rate`).
 _FAILURE_OUTCOMES = (Outcome.SDC, Outcome.CRASH, Outcome.HANG)
 
-SURROGATES = ("gbdt", "knn", "none")
+SURROGATES = ("gbdt", "none")
 MODES = ("steered", "uniform")
 
 
@@ -95,7 +94,7 @@ class SteeringConfig:
     chunk_size: int = 32  #: trials per scheduler unit
     phase_bins: int = 4  #: cycle-phase strata per element
     explore: float = 0.05  #: floor share allocated by the uniform measure
-    surrogate: str = "gbdt"  #: "gbdt", "knn", or "none" (empirical only)
+    surrogate: str = "gbdt"  #: "gbdt" or "none" (empirical only)
     refit_chunks: int = 4  #: refit after this many new committed chunks
     prior_strength: float = 4.0  #: pseudo-trials the surrogate contributes
     early_stop: bool = True
@@ -448,20 +447,10 @@ class SteeredUnitSource:
             self._p_model = np.full(len(self._strata), float(y[0]) if len(y) else 0.5)
             self._units_since_fit = 0
             return
-        from repro.ml import (
-            GradientBoostingClassifier,
-            KNeighborsClassifier,
-            StandardScaler,
-        )
+        from repro.ml import GradientBoostingClassifier, StandardScaler
+
         scaler = StandardScaler().fit(X)
-        if cfg.surrogate == "gbdt":
-            model = GradientBoostingClassifier(
-                n_estimators=30, max_depth=3, seed=0
-            )
-        else:
-            model = KNeighborsClassifier(
-                n_neighbors=min(15, len(X))
-            )
+        model = GradientBoostingClassifier(n_estimators=30, max_depth=3, seed=0)
         model.fit(scaler.transform(X), y)
         proba = model.predict_proba(scaler.transform(self._stratum_rows()))
         fail_col = int(np.argmax(model.classes_ == 1))

@@ -22,7 +22,7 @@ import json
 import sys
 import time
 
-from repro.runtime.telemetry import ProgressEvent, _format_eta
+from repro.runtime.telemetry import ProgressEvent, format_progress
 
 #: A unit in flight this many times longer than the median finished
 #: unit is reported as a straggler.
@@ -198,35 +198,12 @@ class WatchState:
 
     def status_line(self, now=None):
         """One human-readable status line for the current state."""
-        event = self.progress_event()
-        parts = [f"[{event.done}/{event.total}]"]
-        if event.executed > 0:
-            parts.append(f"{event.trials_per_sec:.1f} trials/s")
-            if event.done < event.total and event.eta_s is not None:
-                parts.append(f"eta {_format_eta(event.eta_s)}")
-        elif event.cached:
-            parts.append("all from cache")
-        if event.cached:
-            parts.append(f"{event.cached} cached")
-        if event.retries:
-            parts.append(f"{event.retries} retries")
-        if self.timeouts:
-            parts.append(f"{self.timeouts} timeouts")
-        if event.pool_respawns:
-            parts.append(f"{event.pool_respawns} respawns")
-        if len(self.workers) > 1:
-            parts.append(f"{len(self.workers)} workers")
-        stragglers = self.stragglers(now)
-        if stragglers:
-            shown = ",".join(self.straggler_label(u) for u in stragglers[:4])
-            parts.append(f"stragglers: unit {shown}")
-        line = " ".join(parts)
-        hist = " ".join(f"{k}={v}" for k, v in sorted(self.histogram.items()))
-        if hist:
-            line += f" | {hist}"
-        if self.closed:
-            line += " | run finished"
-        return line
+        return format_progress(
+            self.progress_event(),
+            timeouts=self.timeouts,
+            stragglers=[self.straggler_label(u) for u in self.stragglers(now)],
+            finished=self.closed,
+        )
 
 
 def watch(events_path, follow=True, poll_s=0.5, stream=None, max_polls=None):

@@ -76,7 +76,6 @@ from repro.runtime.runner import (
 )
 from repro.runtime.scheduler import CampaignScheduler, ChunkSource, ListSource
 from repro.runtime.seeding import (
-    spawn_trial_seeds,
     trial_integers,
     trial_rng,
     trial_seed_sequence,
@@ -87,7 +86,12 @@ from repro.runtime.stats import (
     wilson_halfwidth,
     wilson_interval,
 )
-from repro.runtime.telemetry import ProgressEvent, ProgressLog, print_progress
+from repro.runtime.telemetry import (
+    ProgressEvent,
+    ProgressLog,
+    format_progress,
+    print_progress,
+)
 from repro.runtime.transports import (
     InlineTransport,
     TcpTransport,
@@ -124,7 +128,6 @@ __all__ = [
     "TcpTransport",
     "create_transport",
     "tcp_worker_main",
-    "spawn_trial_seeds",
     "trial_integers",
     "trial_rng",
     "trial_seed_sequence",
@@ -134,5 +137,6 @@ __all__ = [
     "wilson_interval",
     "ProgressEvent",
     "ProgressLog",
+    "format_progress",
     "print_progress",
 ]

@@ -132,33 +132,11 @@ class ResultCache:
         obs.inc("runtime.cache.hits")
         return value
 
-    def peek(self, digest):
-        """The stored value, or :data:`MISS` — without counting hit/miss.
-
-        The tcp transport with ``shared_cache=True`` uses the cache as
-        its data channel (the worker persists the value, the scheduler
-        reads it back); those reads must not inflate the campaign's
-        cache-hit accounting, which reports memoization only.
-        """
-        try:
-            with open(self._entry(digest), "rb") as fh:
-                return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            return MISS
-
-    def contains(self, digest):
-        """Whether an entry exists on disk, without loading or counting it.
-
-        Used by resume tooling to cross-check a campaign manifest
-        against the cache without disturbing the hit/miss statistics.
-        """
-        return self._entry(digest).exists()
-
     def put(self, digest, value):
         """Store ``value`` atomically; failures are silent (cache-only).
 
-        Safe under concurrent multi-process writers (the distributed
-        transports share one cache directory): each writer stages into
+        Safe under concurrent multi-process writers (campaigns run in
+        separate processes may share one cache directory): each writer stages into
         its own ``mkstemp`` file and publishes with :func:`os.replace`,
         so readers only ever see complete entries.  Entries are
         digest-addressed — two writers racing on one digest are writing

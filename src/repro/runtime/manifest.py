@@ -155,10 +155,6 @@ class CampaignManifest:
             self._fh = None
 
     # -- queries ---------------------------------------------------------
-    def journaled(self, digests):
-        """How many of ``digests`` this manifest has journaled complete."""
-        return sum(1 for d in digests if d in self.completed)
-
     @property
     def complete(self):
         """Whether every unit of the campaign has been journaled done."""

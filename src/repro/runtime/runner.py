@@ -27,15 +27,16 @@ worker count changes.
 **Fault tolerance** — the paper's own checkpoint/rollback discipline,
 applied to the harness: unit failures are retried with exponential
 backoff under a :class:`~repro.runtime.policy.FaultPolicy`; units
-exceeding their wall-clock budget (or a remote worker's lease) are
+exceeding their wall-clock budget after a worker claimed them are
 declared hung and retried (a local worker holding one is killed and
 replaced); a dead worker (segfault, OOM kill) is replaced and its units
-requeue, up to ``max_requeues`` losses per unit.  Completed units
-are journaled through the cache plus a
-:class:`~repro.runtime.manifest.CampaignManifest` owned by the
-scheduler — the single source of truth — so an interrupted campaign
-resumes where it left off and finishes bit-identical to an undisturbed
-run, no matter how many workers died underneath it.  All of it surfaces
+requeue, up to ``max_requeues`` losses per unit.  Completed units are
+journaled through the cache plus a
+:class:`~repro.runtime.manifest.CampaignManifest` (under
+``<cache.path>/manifests``), both written by the scheduler alone — the
+single source of truth — so an interrupted campaign resumes where it
+left off and finishes bit-identical to an undisturbed run, no matter
+how many workers died underneath it.  All of it surfaces
 as ``runtime.fault.*`` metrics.
 
 **Graceful degradation** — ``jobs=1`` runs inline with no workers; a
@@ -126,9 +127,7 @@ class CampaignRunner:
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; ``None``
         disables memoization (and with it the campaign manifest, so
-        interrupted runs are not resumable).  ``tcp`` with
-        ``shared_cache=True`` requires one — it doubles as the
-        worker→scheduler data channel.
+        interrupted runs are not resumable).
     progress:
         Optional callback receiving one
         :class:`~repro.runtime.telemetry.ProgressEvent` per finished unit
@@ -139,16 +138,13 @@ class CampaignRunner:
         histogram exposed through progress events and :attr:`stats`.
     policy:
         :class:`~repro.runtime.policy.FaultPolicy` governing timeouts,
-        retries, backoff, leases, requeue caps, and task sizing.
+        retries, backoff, requeue caps, and task sizing.
         Defaults to :data:`~repro.runtime.policy.DEFAULT_FAULT_POLICY`.
     resume:
         Declare this run a resume of an interrupted campaign: requires
         ``cache``, replays the campaign manifest, and accounts replayed
         units in :attr:`RunStats.journaled_units`.  A resume of a
         campaign that never started (no manifest) simply runs fresh.
-    manifest_dir:
-        Where campaign manifests live; defaults to
-        ``<cache.path>/manifests`` when a cache is attached.
     transport:
         Execution backend: a registry name (``"inline"``, ``"tcp"``), a
         :class:`~repro.runtime.transports.base.Transport` instance
@@ -162,7 +158,7 @@ class CampaignRunner:
 
     def __init__(self, jobs=1, chunk_size=DEFAULT_CHUNK_SIZE, cache=None,
                  progress=None, classify=None, policy=None, resume=False,
-                 manifest_dir=None, transport=None, transport_options=None):
+                 transport=None, transport_options=None):
         if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
         if jobs < 1:
@@ -183,7 +179,6 @@ class CampaignRunner:
                 "resume requires a result cache: the cache holds the "
                 "journaled unit results a resumed campaign replays"
             )
-        self.manifest_dir = manifest_dir
         if transport_options and not isinstance(transport, str):
             raise ValueError(
                 "transport_options apply only when transport is a registry "
@@ -264,8 +259,7 @@ class CampaignRunner:
             worker=worker, source=source, base_key=base_key,
             unit_is_batch=unit_is_batch, jobs=self.jobs, cache=self.cache,
             progress=self.progress, classify=self.classify,
-            policy=self.policy, resume=self.resume,
-            manifest_dir=self.manifest_dir, transport=transport,
+            policy=self.policy, resume=self.resume, transport=transport,
             owns_transport=owns, stats=stats,
         )
         obs.emit(

@@ -15,7 +15,7 @@ execution.  The loop:
    execution instead of preceding it.
 2. **dispatch** — group ready units into transport tasks, sized
    adaptively from the observed per-unit latency EMA (target
-   ``policy.target_task_s`` per task, capped at
+   :data:`TARGET_TASK_S` per task, capped at
    ``policy.max_units_per_task``; pinned to 1 while per-unit timeouts
    are armed).  Grouping never touches seeds, digests, or result order.
 3. **poll** — collect per-unit outcomes plus lifecycle signals and
@@ -23,11 +23,11 @@ execution.  The loop:
    monolithic runner produced: retries with deterministic backoff,
    timeout/lease expiry, worker respawn accounting, progress events.
 
-Because the scheduler journals through the manifest itself (workers
-only execute, or at most store values into the shared result cache), a
-campaign completes bit-identically to the inline reference no matter
-how many workers died along the way — surviving workers alone, or a
-``--resume`` after killing everything, finish the same records.
+Because the scheduler alone writes the result cache and journals
+through the manifest (workers only execute), a campaign completes
+bit-identically to the inline reference no matter how many workers
+died along the way — surviving workers alone, or a ``--resume`` after
+killing everything, finish the same records.
 """
 
 from __future__ import annotations
@@ -62,6 +62,12 @@ PICKLING_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
 #: Smoothing factor of the per-unit latency EMA behind adaptive task
 #: sizing (weight of the newest observation).
 LATENCY_EMA_ALPHA = 0.2
+
+#: Adaptive task-sizing goal: units are grouped into one transport task
+#: until the group's estimated wall time (from the latency EMA) reaches
+#: this many seconds.  Grouping amortizes per-task transport overhead
+#: without affecting seeds, digests, or results.
+TARGET_TASK_S = 0.2
 
 #: Floor of the admission window: how many units may be waiting or in
 #: flight before unit generation pauses.
@@ -217,8 +223,8 @@ class CampaignScheduler:
     """
 
     def __init__(self, *, worker, source, base_key, unit_is_batch, jobs,
-                 cache, progress, classify, policy, resume, manifest_dir,
-                 transport, owns_transport, stats):
+                 cache, progress, classify, policy, resume, transport,
+                 owns_transport, stats):
         self.worker = worker
         self.source = source
         self.base_key = base_key
@@ -229,7 +235,6 @@ class CampaignScheduler:
         self.classify = classify
         self.policy = policy
         self.resume = resume
-        self.manifest_dir = manifest_dir
         self.transport = transport
         self.owns_transport = owns_transport
         self.stats = stats
@@ -311,11 +316,10 @@ class CampaignScheduler:
         """The campaign's journal, or ``None`` when no cache is attached."""
         if self.cache is None:
             return None
-        directory = self.manifest_dir
-        if directory is None:
-            directory = self.cache.path / "manifests"
         campaign_digest = stable_digest("campaign", self.base_key, self._n)
-        manifest = CampaignManifest.open(directory, campaign_digest, self._n)
+        manifest = CampaignManifest.open(
+            self.cache.path / "manifests", campaign_digest, self._n
+        )
         if self.resume and manifest.completed:
             obs.inc("runtime.fault.resumed")
         return manifest
@@ -394,7 +398,7 @@ class CampaignScheduler:
         if self._ema_unit_s is None:
             return 1  # no latency sample yet: probe with single units
         est = max(self._ema_unit_s, 1e-6)
-        size = int(self.policy.target_task_s / est)
+        size = int(TARGET_TASK_S / est)
         return max(1, min(size, self.policy.max_units_per_task))
 
     def _next_task_id(self):
@@ -418,7 +422,7 @@ class CampaignScheduler:
             self.stats.fallback_reason = f"{type(exc).__name__}: {exc}"
             self.stats.jobs_used = 1
             obs.inc("runtime.fault.serial_fallback")
-            self._close_transport(hard=True)
+            self._close_transport()
             self.transport = InlineTransport()
             self.owns_transport = True
             self.transport.open(self._ctx)
@@ -439,7 +443,6 @@ class CampaignScheduler:
                 task_id=self._next_task_id(),
                 indices=tuple(batch),
                 items=tuple(self._items[i] for i in batch),
-                digests=tuple(self._digests.get(i) for i in batch),
             )
             self._probe_picklability(task)  # may swap to inline
             mode = self._mode
@@ -480,7 +483,7 @@ class CampaignScheduler:
         stats.units_executed += 1
         digest = self._digests.pop(i, None)
         self._items.pop(i, None)
-        if self.cache is not None and digest is not None and not outcome.stored:
+        if self.cache is not None and digest is not None:
             self.cache.put(digest, outcome.value)
         if (self._manifest is not None and digest is not None
                 and digest not in self._manifest):
@@ -558,11 +561,6 @@ class CampaignScheduler:
         with obs.span("runtime.fault.respawn"):
             self._emit_progress()  # progress still flows during recovery
 
-    def _lease_per_unit(self):
-        if self.policy.lease_timeout_s is not None:
-            return self.policy.lease_timeout_s
-        return self.policy.unit_timeout_s
-
     def _on_claim(self, signal, now):
         state = self._tasks.get(signal.get("task_id"))
         if state is None:
@@ -570,9 +568,9 @@ class CampaignScheduler:
         worker = signal.get("worker")
         for i in sorted(state.remaining):
             obs.emit("unit.claim", unit=i, worker=worker)
-        lease = self._lease_per_unit()
-        if lease:
-            state.deadline = now + lease * max(len(state.task), 1)
+        budget = self.policy.unit_timeout_s
+        if budget:
+            state.deadline = now + budget * max(len(state.task), 1)
 
     def _on_heartbeat(self, signal):
         worker = signal.get("worker")
@@ -609,7 +607,7 @@ class CampaignScheduler:
         ]
         if not expired:
             return
-        budget = self.policy.unit_timeout_s or self._lease_per_unit()
+        budget = self.policy.unit_timeout_s
         for task_id in expired:
             state = self._tasks.pop(task_id)
             for i in sorted(state.remaining):
@@ -635,7 +633,7 @@ class CampaignScheduler:
             if (self._ready
                     or getattr(self.transport, "needs_poll_tick", False)
                     or any(s.deadline is not None for s in self._tasks.values())
-                    or self._lease_per_unit()):
+                    or self.policy.unit_timeout_s):
                 return self.policy.poll_interval_s
             return None  # nothing else to watch: block until completion
         if self._ready and self._ready[0][0] > now:
@@ -646,8 +644,8 @@ class CampaignScheduler:
             time.sleep(pause)
         return 0.0
 
-    def _close_transport(self, hard):
-        self.transport.close(hard=hard)
+    def _close_transport(self):
+        self.transport.close()
         if self.owns_transport:
             self.transport.shutdown()
 
@@ -660,9 +658,7 @@ class CampaignScheduler:
         self._hits0 = self.cache.stats.hits if self.cache is not None else 0
         self._misses0 = self.cache.stats.misses if self.cache is not None else 0
         self._manifest = self._open_manifest()
-        self._ctx = TransportContext(
-            worker=self.worker, collect=obs.enabled(), cache=self.cache,
-        )
+        self._ctx = TransportContext(worker=self.worker, collect=obs.enabled())
         stats.transport = self.transport.name
         try:
             self.transport.open(self._ctx)
@@ -691,10 +687,10 @@ class CampaignScheduler:
                 self._handle_outcomes(outcomes)
                 self._handle_signals(signals, time.monotonic())
                 self._check_deadlines(time.monotonic())
-            self._close_transport(hard=False)
+            self._close_transport()
         except BaseException as exc:
             with contextlib.suppress(Exception):
-                self._close_transport(hard=True)
+                self._close_transport()
             if isinstance(exc, KeyboardInterrupt):
                 if self._manifest is not None:
                     self._manifest.note_interrupt()

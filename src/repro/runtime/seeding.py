@@ -60,13 +60,6 @@ def trial_rng(seed, index):
     return np.random.default_rng(trial_seed_sequence(seed, index))
 
 
-def spawn_trial_seeds(seed, n_trials):
-    """Seed streams for trials ``0..n_trials-1`` (convenience batch form)."""
-    if n_trials < 0:
-        raise ValueError("n_trials must be non-negative")
-    return [trial_seed_sequence(seed, i) for i in range(n_trials)]
-
-
 def trial_integers(seed, indices, highs):
     """Bounded integer draws for many trials, in one vectorized pass.
 

@@ -14,6 +14,9 @@ Two ready-made consumers:
 * :func:`print_progress` — one-line-per-event stderr printer used by the
   CLI's ``--progress`` flag.
 
+Both the printer and ``repro watch`` render events with the one
+formatter :func:`format_progress`.
+
 Deeper visibility (where time went per layer, metric counters, durable
 run records) lives in :mod:`repro.obs`; the runner feeds both.
 """
@@ -90,9 +93,14 @@ def _format_eta(seconds):
     return f"{seconds}s"
 
 
-def print_progress(event, stream=None):
-    """Print one progress line per event (the CLI ``--progress`` hook)."""
-    stream = stream if stream is not None else sys.stderr
+def format_progress(event, timeouts=0, stragglers=(), finished=False):
+    """One human-readable status line for a :class:`ProgressEvent`.
+
+    ``timeouts``, ``stragglers`` (unit labels) and ``finished`` are
+    facts only a watcher of the event stream knows; the live
+    ``--progress`` hook leaves them at their defaults.  Workers are
+    shown only when more than one ran.
+    """
     if event.executed <= 0:
         # Nothing has actually run — a trials/sec figure would be
         # meaningless, so say where the results are coming from instead.
@@ -106,12 +114,24 @@ def print_progress(event, stream=None):
         parts.append(f"cache {event.cache_hits}h/{event.cache_misses}m")
     if event.retries:
         parts.append(f"{event.retries} retries")
+    if timeouts:
+        parts.append(f"{timeouts} timeouts")
     if event.pool_respawns:
         parts.append(f"{event.pool_respawns} respawns")
-    if event.workers:
+    if len(event.workers) > 1:
         parts.append(f"{len(event.workers)} workers")
+    if stragglers:
+        parts.append(f"stragglers: unit {','.join(stragglers[:4])}")
     line = f"[{event.done}/{event.total}] " + ", ".join(parts)
     hist = " ".join(f"{k}={v}" for k, v in sorted(event.histogram.items()))
     if hist:
         line += f" | {hist}"
-    print(line, file=stream)
+    if finished:
+        line += " | run finished"
+    return line
+
+
+def print_progress(event, stream=None):
+    """Print one progress line per event (the CLI ``--progress`` hook)."""
+    print(format_progress(event),
+          file=stream if stream is not None else sys.stderr)

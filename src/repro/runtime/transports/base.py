@@ -14,8 +14,8 @@ execution backends stay swappable:
     :class:`~repro.runtime.transports.tcp.TcpTransport` — a listening
     socket served to workers forked on the local host and to ``python
     -m repro worker --connect HOST:PORT`` processes anywhere, over
-    length-prefixed, checksummed pickle frames (results stream over the
-    wire unless a shared cache is configured).
+    length-prefixed, checksummed pickle frames (results stream back over
+    the wire).
 
 The protocol is deliberately small.  A transport accepts
 :class:`Task`\\ s (one or more units grouped by the scheduler), reports
@@ -51,7 +51,6 @@ class Task:
     task_id: str
     indices: tuple  # unit indices, in campaign order
     items: tuple  # the unit payloads (chunks or mapped items)
-    digests: tuple  # per-unit cache digests (None when uncached)
 
     def __len__(self):
         return len(self.indices)
@@ -66,8 +65,7 @@ class UnitOutcome:
     ``"ok"``
         ``value`` holds the result; ``telemetry`` the worker's captured
         obs snapshot (``None`` when collection was off or the value was
-        produced in-process); ``stored=True`` means the executing worker
-        already persisted the value into the shared result cache.
+        produced in-process).
     ``"error"``
         ``error`` holds the exception; counts against the retry budget.
     ``"requeue"``
@@ -83,7 +81,6 @@ class UnitOutcome:
     elapsed_s: float = None  # worker-side wall time (ok outcomes)
     worker: str = None  # executing worker id, for attribution
     telemetry: dict = None
-    stored: bool = False
 
 
 @dataclass
@@ -92,7 +89,6 @@ class TransportContext:
 
     worker: object  # the unit callable
     collect: bool  # whether obs collection is on in the scheduler
-    cache: object  # shared ResultCache (None when uncached)
 
 
 class Transport:
@@ -151,8 +147,8 @@ class Transport:
         """
         raise NotImplementedError
 
-    def close(self, hard=False):
-        """End the campaign run; ``hard`` kills outstanding work."""
+    def close(self):
+        """End the campaign run; outstanding work is withdrawn."""
         raise NotImplementedError
 
     def shutdown(self):
@@ -162,7 +158,7 @@ class Transport:
         reused across several campaign runs (open/close per run) before
         being shut down once at the end.
         """
-        self.close(hard=True)
+        self.close()
 
     def describe(self):
         """One JSON-able dict describing the backend (for run records)."""

@@ -57,6 +57,6 @@ class InlineTransport(Transport):
         """Nothing to expire: submission and completion are atomic here."""
         return [], []
 
-    def close(self, hard=False):
+    def close(self):
         """Drop any undrained outcomes."""
         self._buffer = _OutcomeBuffer()

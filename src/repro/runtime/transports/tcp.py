@@ -32,15 +32,13 @@ The scheduler drives the protocol through its claim-lease machinery
   counts the worker as capacity (``worker.connect`` event).
 * **claim** — the worker announces a task the moment it starts
   executing it; the scheduler arms a per-unit lease from that moment
-  (``policy.lease_timeout_s``), so a worker that hangs holding a task
+  (``policy.unit_timeout_s``), so a worker that hangs holding a task
   has it voided and re-dispatched.  A forked worker holding an expired
   task is SIGKILLed and replaced (its other tasks requeue through the
   EOF path); an external worker can only be sent a ``cancel``.
-* **result streaming** — with no shared :class:`ResultCache`, unit
-  values ride the wire inside the result message, chunk-framed when
-  large.  With ``shared_cache=True`` (hosts that share a filesystem)
-  values go ``put``/verify into the cache instead and the message
-  carries only ``stored=True`` digest references.
+* **result streaming** — unit values ride the wire inside the result
+  message, chunk-framed when large; the scheduler alone writes the
+  result cache.
 * **liveness** — each worker heartbeats from a background thread
   (independent of task length).  A dropped connection requeues the
   worker's outstanding tasks immediately, while heartbeat staleness
@@ -49,8 +47,6 @@ The scheduler drives the protocol through its claim-lease machinery
   by comparing clocks across hosts.
 * **stale-report immunity** — requeued units travel under fresh task
   ids, so a zombie's late result names an unknown task and is dropped.
-  Results are digest-addressed and deterministic, so even a racing
-  zombie's shared-cache write is bit-identical to the retry's.
 
 Workers reconnect with jittered exponential backoff when the scheduler
 goes away (a ``--resume`` reuses them), drain gracefully on ``stop``,
@@ -80,7 +76,6 @@ import time
 from collections import deque
 
 from repro import obs
-from repro.runtime.cache import MISS
 from repro.runtime.transports.base import (
     Task,
     Transport,
@@ -134,6 +129,10 @@ BACKOFF_CAP_S = 5.0
 
 #: Bytes pulled per ``recv`` when a socket is readable.
 RECV_BYTES = 65536
+
+#: Tasks outstanding per live worker: the backpressure bound that keeps
+#: each worker's next task queued behind its current one.
+QUEUE_DEPTH = 2
 
 
 def parse_address(address):
@@ -219,9 +218,6 @@ class TcpTransport(Transport):
         babysit.  ``0`` relies entirely on workers launched elsewhere;
         dead forked workers are replaced, and ``policy.max_requeues``
         bounds a workload that keeps killing them.
-    queue_depth:
-        Tasks outstanding per live worker — the backpressure knob that
-        keeps each worker's next task queued behind its current one.
     poll_s:
         Scheduler-side select granularity while waiting for traffic.
     worker_poll_s:
@@ -230,12 +226,6 @@ class TcpTransport(Transport):
         Heartbeat age past which a connection is presumed half-open and
         dropped (its tasks requeue).  Judged from scheduler-local
         arrival of new heartbeat values, never by comparing clocks.
-    shared_cache:
-        When true, workers write values into the campaign's shared
-        :class:`ResultCache` and results carry ``stored=True`` digest
-        references (requires a cache and a filesystem in common); when
-        false — the default, and the point of this transport — values
-        stream back over the wire.
     auth:
         Shared secret for the connection handshake.  Defaults to
         ``$REPRO_TCP_AUTH``, else a random per-transport secret that
@@ -250,13 +240,10 @@ class TcpTransport(Transport):
     requires_pickling = True
     needs_poll_tick = True
 
-    def __init__(self, host="127.0.0.1", port=0, workers=0, queue_depth=2,
-                 poll_s=0.02, worker_poll_s=0.05, stale_s=HEARTBEAT_STALE_S,
-                 shared_cache=False, auth=None):
+    def __init__(self, host="127.0.0.1", port=0, workers=0, poll_s=0.02,
+                 worker_poll_s=0.05, stale_s=HEARTBEAT_STALE_S, auth=None):
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be positive")
         if stale_s <= 0:
             raise ValueError("stale_s must be positive")
         if not 0 <= int(port) <= 65535:
@@ -272,12 +259,9 @@ class TcpTransport(Transport):
         self.host = str(host)
         self.port = int(port)
         self.workers = int(workers)
-        self.queue_depth = int(queue_depth)
         self.poll_s = float(poll_s)
         self.worker_poll_s = float(worker_poll_s)
         self.stale_s = float(stale_s)
-        self.shared_cache = bool(shared_cache)
-        self._ctx = None
         self._selector = None
         self._listener = None
         self._bound = None  # (host, port) actually bound
@@ -322,12 +306,6 @@ class TcpTransport(Transport):
     # -- lifecycle ---------------------------------------------------------
     def open(self, ctx):
         """Start (or rejoin) a campaign run: publish payload, bring capacity."""
-        if self.shared_cache and ctx.cache is None:
-            raise ValueError(
-                "shared_cache=True needs a result cache: without one, "
-                "leave it off and let values stream over the wire"
-            )
-        self._ctx = ctx
         self.ensure_listening()
         self._inflight = {}
         self._claims = {}
@@ -341,15 +319,11 @@ class TcpTransport(Transport):
             # scheduler's picklability probe hits the same failure before
             # the first submission and swaps to inline.
             payload_pickle = None
-        cache_dir = None
-        if self.shared_cache and ctx.cache is not None:
-            cache_dir = str(ctx.cache.path)
         self._payload_msg = encode_message({
             "kind": "payload",
             "token": self._token,
             "payload_pickle": payload_pickle,
             "collect": ctx.collect,
-            "cache_dir": cache_dir,
         })
         # A reused transport may still hold live connections from the
         # previous run (close() keeps them warm for --resume): hand each
@@ -407,8 +381,8 @@ class TcpTransport(Transport):
         return max(connected, alive, 1)
 
     def slots(self):
-        """Bounded by ``queue_depth`` tasks per live worker."""
-        return max(self._live_workers() * self.queue_depth
+        """Bounded by :data:`QUEUE_DEPTH` tasks per live worker."""
+        return max(self._live_workers() * QUEUE_DEPTH
                    - len(self._inflight), 0)
 
     # -- sending -----------------------------------------------------------
@@ -429,7 +403,7 @@ class TcpTransport(Transport):
         for conn in self._conns:
             if conn.worker_id is None:
                 continue
-            if len(conn.assigned) >= self.queue_depth:
+            if len(conn.assigned) >= QUEUE_DEPTH:
                 continue
             if best is None or len(conn.assigned) < len(best.assigned):
                 best = conn
@@ -450,7 +424,6 @@ class TcpTransport(Transport):
                 "task": task.task_id,
                 "indices": list(task.indices),
                 "items": list(task.items),
-                "digests": list(task.digests),
             })
             conn.assigned.add(task.task_id)
             # A failed send drops the connection, which requeues this
@@ -638,11 +611,11 @@ class TcpTransport(Transport):
         self._buffer.outcomes.extend(outcomes)
 
     def _report_outcomes(self, task, report):
-        digest_of = dict(zip(task.indices, task.digests))
+        indices = set(task.indices)
         worker = report.get("worker")
         for entry in report.get("units", ()):
             index = entry["index"]
-            if index not in digest_of:
+            if index not in indices:
                 raise WireError(
                     f"result from worker {worker} names unknown unit "
                     f"index {index!r}"
@@ -656,41 +629,24 @@ class TcpTransport(Transport):
                     elapsed_s=entry.get("elapsed_s"),
                 )
                 continue
-            if entry.get("stored"):
-                cache = self._ctx.cache if self._ctx is not None else None
-                if cache is None:
-                    raise WireError(
-                        f"worker {worker} reported a stored result but "
-                        f"this campaign has no shared cache"
-                    )
-                value = cache.peek(digest_of[index])
-                if value is MISS:
-                    yield UnitOutcome(
-                        index=index, kind="error", worker=worker,
-                        error=RuntimeError(
-                            f"tcp worker {worker} reported unit {index} "
-                            f"stored but its result never reached the "
-                            f"shared cache"
-                        ),
-                    )
-                    continue
-            else:
-                try:
-                    value = pickle.loads(entry["value_pickle"])
-                except Exception as exc:
-                    yield UnitOutcome(
-                        index=index, kind="error", worker=worker,
-                        error=RuntimeError(
-                            f"unit {index} result from worker {worker} "
-                            f"did not survive the wire: {exc!r}"
-                        ),
-                    )
-                    continue
+            # A missing value is a malformed report (the peer is dropped);
+            # a value that will not unpickle fails just this unit.
+            value_pickle = entry["value_pickle"]
+            try:
+                value = pickle.loads(value_pickle)
+            except Exception as exc:
+                yield UnitOutcome(
+                    index=index, kind="error", worker=worker,
+                    error=RuntimeError(
+                        f"unit {index} result from worker {worker} "
+                        f"did not survive the wire: {exc!r}"
+                    ),
+                )
+                continue
             yield UnitOutcome(
                 index=index, kind="ok", value=value, worker=worker,
                 elapsed_s=entry.get("elapsed_s"),
                 telemetry=entry.get("telemetry"),
-                stored=bool(entry.get("stored")),
             )
 
     # -- failure detection -------------------------------------------------
@@ -785,7 +741,7 @@ class TcpTransport(Transport):
                 self._send(conn, encode_message({"kind": "cancel", "tasks": ids}))
         return self._buffer.drain()
 
-    def close(self, hard=False):
+    def close(self):
         """End this campaign run; connections stay warm for the next.
 
         Outstanding tasks are withdrawn (workers get a ``cancel`` for
@@ -807,7 +763,7 @@ class TcpTransport(Transport):
 
     def shutdown(self):
         """Drain workers (``stop`` message), close sockets, reap children."""
-        self.close(hard=True)
+        self.close()
         stop = encode_message({"kind": "stop"})
         for conn in list(self._conns):
             self._send(conn, stop)
@@ -842,8 +798,6 @@ class TcpTransport(Transport):
             "address": f"{self.host}:{self.port}" if self._bound is None
             else f"{self._bound[0]}:{self._bound[1]}",
             "workers": self.workers,
-            "queue_depth": self.queue_depth,
-            "shared_cache": self.shared_cache,
         }
 
 
@@ -917,10 +871,8 @@ class _Campaign:
     def __init__(self, message):
         self.token = message.get("token")
         self.collect = bool(message.get("collect"))
-        self.cache = None
         self.worker_fn = None
         self.error = None
-        cache_dir = message.get("cache_dir")
         payload_pickle = message.get("payload_pickle")
         if payload_pickle is None:
             self.error = "the campaign payload was withheld (unpicklable)"
@@ -933,15 +885,10 @@ class _Campaign:
             self.error = (
                 f"worker could not load the campaign payload: {exc!r}"
             )
-            return
-        if cache_dir is not None:
-            from repro.runtime.cache import ResultCache
-
-            self.cache = ResultCache(cache_dir)
 
 
-def _result_entries(outcomes, digest_of, campaign, worker_id):
-    """Build result-message unit entries (cache refs or wire values)."""
+def _result_entries(outcomes):
+    """Build result-message unit entries, values pickled for the wire."""
     entries = []
     for outcome in outcomes:
         entry = {
@@ -951,20 +898,6 @@ def _result_entries(outcomes, digest_of, campaign, worker_id):
         }
         if outcome.kind != "ok":
             entry["error"] = outcome.error
-            entries.append(entry)
-            continue
-        if campaign.cache is not None:
-            digest = digest_of[outcome.index]
-            campaign.cache.put(digest, outcome.value)
-            if not campaign.cache.contains(digest):
-                entry["ok"] = False
-                entry["error"] = RuntimeError(
-                    f"worker {worker_id} could not persist unit "
-                    f"{outcome.index} into the shared cache"
-                )
-            else:
-                entry["stored"] = True
-                entry["telemetry"] = outcome.telemetry
             entries.append(entry)
             continue
         try:
@@ -993,7 +926,6 @@ def _encode_result(token, task_id, worker_id, entries):
                 "index": e["index"],
                 "ok": bool(e.get("ok")) and "error" not in e,
                 "elapsed_s": e.get("elapsed_s"),
-                **({"stored": True} if e.get("stored") else {}),
                 **({"value_pickle": e["value_pickle"]}
                    if "value_pickle" in e else {}),
                 **({"error": RuntimeError(repr(e.get("error")))}
@@ -1048,13 +980,11 @@ def _run_task(sock, lock, spec, campaign, worker_id, hb):
         task_id=task_id,
         indices=tuple(spec["indices"]),
         items=tuple(spec["items"]),
-        digests=tuple(spec["digests"]),
     )
     outcomes = execute_task_units(
         campaign.worker_fn, task, campaign.collect, worker_id
     )
-    digest_of = dict(zip(task.indices, task.digests))
-    entries = _result_entries(outcomes, digest_of, campaign, worker_id)
+    entries = _result_entries(outcomes)
     _locked_send(sock, lock, _encode_result(
         campaign.token, task_id, worker_id, entries,
     ))

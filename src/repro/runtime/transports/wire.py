@@ -58,8 +58,10 @@ import zlib
 MAGIC = b"RW"
 
 #: Protocol version; bumped on any incompatible frame/message change.
-#: v2 made the auth handshake mandatory.
-VERSION = 2
+#: v2 made the auth handshake mandatory; v3 dropped the shared-cache
+#: result references (task ``digests``, payload ``cache_dir``, result
+#: ``stored``): values always ride the wire.
+VERSION = 3
 
 #: Frame kinds: one self-contained message, a chunked message's header
 #: and body frames, or a raw (never pickled) auth-handshake frame.

@@ -10,7 +10,6 @@ from repro.runtime import (
     ResultCache,
     TrialChunk,
     chunk_bounds,
-    spawn_trial_seeds,
     stable_digest,
     trial_rng,
     trial_seed_sequence,
@@ -38,11 +37,10 @@ class TestSeeding:
 
     def test_streams_independent_of_campaign_size(self):
         assert trial_rng(7, 5).random() == trial_rng(7, 5).random()
-        seeds_small = spawn_trial_seeds(7, 6)
-        seeds_large = spawn_trial_seeds(7, 20)
-        assert np.array_equal(
-            seeds_small[5].generate_state(2), seeds_large[5].generate_state(2)
-        )
+        ours = trial_seed_sequence(7, 5).generate_state(2)
+        for n_trials in (6, 20):
+            child = np.random.SeedSequence(7).spawn(n_trials)[5]
+            assert np.array_equal(ours, child.generate_state(2))
 
     def test_distinct_trials_distinct_streams(self):
         draws = {trial_rng(0, i).random() for i in range(50)}

@@ -20,6 +20,7 @@ from repro.runtime import (
     ResultCache,
     UnitTimeoutError,
 )
+from repro.runtime.policy import BACKOFF_FACTOR, BACKOFF_JITTER
 
 from tests.test_runtime import _draw_chunk
 
@@ -59,18 +60,14 @@ class TestFaultPolicy:
             FaultPolicy(unit_timeout_s=0)
         with pytest.raises(ValueError):
             FaultPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            FaultPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            FaultPolicy(backoff_jitter=1.0)
 
     def test_backoff_is_exponential_with_bounded_jitter(self):
-        policy = FaultPolicy(backoff_base_s=0.1, backoff_factor=2.0,
-                             backoff_jitter=0.1)
+        policy = FaultPolicy(backoff_base_s=0.1)
         for attempt in (1, 2, 3):
-            nominal = 0.1 * 2.0 ** (attempt - 1)
+            nominal = 0.1 * BACKOFF_FACTOR ** (attempt - 1)
             delay = policy.backoff_s(unit_index=4, attempt=attempt)
-            assert nominal * 0.9 <= delay <= nominal * 1.1
+            assert (nominal * (1 - BACKOFF_JITTER) <= delay
+                    <= nominal * (1 + BACKOFF_JITTER))
 
     def test_jitter_is_deterministic_per_unit_and_attempt(self):
         policy = FaultPolicy()
@@ -315,7 +312,7 @@ class TestCampaignManifest:
         replayed = CampaignManifest.open(tmp_path, "deadbeef", 3)
         assert replayed.completed == {"u1": 0, "u2": 2}
         assert not replayed.complete
-        assert replayed.journaled(["u1", "u2", "u3"]) == 2
+        assert sum(d in replayed.completed for d in ["u1", "u2", "u3"]) == 2
 
     def test_interrupt_marker_survives_replay(self, tmp_path):
         manifest = CampaignManifest.open(tmp_path, "feed", 2)

@@ -13,6 +13,7 @@ from repro.runtime import (
     ProgressEvent,
     ProgressLog,
     ResultCache,
+    format_progress,
     print_progress,
 )
 
@@ -126,3 +127,40 @@ class TestRetryAccounting:
         stream = io.StringIO()
         print_progress(_event(retries=3), stream=stream)
         assert "3 retries" in stream.getvalue()
+
+
+class TestOneProgressFormatter:
+    """``--progress`` and ``repro watch`` render events the same way."""
+
+    def test_serial_run_line_names_no_workers(self):
+        log = ProgressLog()
+        CampaignRunner(jobs=1, chunk_size=10, progress=log).run_trials(
+            _draw_chunk, 40, seed=0
+        )
+        assert log.last.workers  # the in-process executor is attributed
+        stream = io.StringIO()
+        print_progress(log.last, stream=stream)
+        assert "[40/40]" in stream.getvalue()
+        assert "workers" not in stream.getvalue()
+
+    def test_workers_shown_when_more_than_one(self):
+        line = format_progress(_event(workers={"w1": {}, "w2": {}}))
+        assert "2 workers" in line
+
+    def test_watch_line_is_the_progress_line(self):
+        from repro.obs.watch import WatchState
+
+        state = WatchState()
+        state.consume([
+            {"ev": "campaign.begin", "t": 0.0, "trials": 20},
+            {"ev": "unit.submit", "t": 0.0, "unit": 0},
+            {"ev": "unit.finish", "t": 1.0, "unit": 0, "trials": 10,
+             "worker": "w1"},
+            {"ev": "unit.retry", "t": 1.0, "unit": 1},
+            {"ev": "unit.timeout", "t": 1.0, "unit": 1},
+        ])
+        stream = io.StringIO()
+        print_progress(state.progress_event(), stream=stream)
+        # Timeouts are the one fact only the event stream carries.
+        assert stream.getvalue() == "[10/20] 10.0 trials/s, eta 1s, 0 cached, 1 retries\n"
+        assert state.status_line() == stream.getvalue().rstrip("\n") + ", 1 timeouts"

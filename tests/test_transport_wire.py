@@ -107,6 +107,14 @@ class TestFrameCorruption:
         with pytest.raises(WireError, match="protocol"):
             FrameDecoder().feed(bytes(data))
 
+    def test_v2_frame_is_rejected(self):
+        """v3 dropped the shared-cache result references, so a v2 peer is
+        refused at the frame layer instead of being misread."""
+        data = bytearray(encode_frame(KIND_MSG, b"x"))
+        data[2] = 2
+        with pytest.raises(WireError, match="v2, we speak v3"):
+            FrameDecoder().feed(bytes(data))
+
     def test_unknown_kind_on_decode(self):
         data = bytearray(encode_frame(KIND_MSG, b"x"))
         data[3] = 42
