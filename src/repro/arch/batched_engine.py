@@ -149,10 +149,11 @@ class BatchedEngine:
         self._trace = injector.golden_pc_trace
         self._block = BlockProgram(program)
         # Per-boundary live-register index arrays for the vectorized
-        # reconvergence compare, built from the injector's liveness map.
+        # reconvergence compare, read off the injector's liveness mask.
+        reg_bits = np.arange(N_REGISTERS, dtype=np.uint32)
         self._live_rows = {
-            cycle: np.array(live, np.intp)
-            for cycle, live in injector._live_regs.items()
+            cycle: np.flatnonzero((injector._live_mask[cycle] >> reg_bits) & 1)
+            for cycle in range(0, n, injector.snapshot_interval)
         }
 
     def run(self, lanes):

@@ -20,7 +20,10 @@ bit-identical to the serial path.  See ``docs/campaigns.md``.
 
 Trial execution runs on one of two engines (``engine=``):
 
-* ``"batched"`` (default) — trial-vectorized suffix replay: the single
+* ``"batched"`` (default) — trial-vectorized suffix replay: register
+  flips into a register the golden run overwrites before reading (the
+  un-ACE coordinates of a per-cycle liveness mask) are answered
+  ``MASKED`` without running; the single
   golden run leaves a ladder of architectural snapshots, and whole
   chunks of trials march down the golden PC trace in lockstep as numpy
   lanes, with per-opcode masked updates and an early-exit masking check
@@ -211,7 +214,7 @@ class FaultInjector:
         self.max_cycles = max(int(cpu.cycles * max_cycles_factor), cpu.cycles + 64)
         self.snapshot_interval = interval
         self._snapshots = snapshots
-        self._live_regs = self._boundary_liveness(trace, interval)
+        self._live_mask = self._golden_liveness(trace)
         # Last snapshot cycle: boundary checks past it are impossible.
         self._last_boundary = ((self.golden_cycles - 1) // interval) * interval
         # Trials restore into one reusable CPU instead of building a fresh
@@ -225,29 +228,45 @@ class FaultInjector:
             snapshot_interval=interval,
         )
 
-    def _boundary_liveness(self, trace, interval):
-        """Golden live-in register sets at each snapshot boundary.
+    def _golden_liveness(self, trace):
+        """Golden live-in register bitmask at every cycle (``uint32``).
 
+        Bit ``r`` of entry ``c`` is set when the golden run reads
+        register ``r`` at or after cycle ``c`` before overwriting it.
         A register the golden suffix never reads before overwriting
         cannot influence anything the outcome classification observes
         (output words and cycle count) — the ACE/un-ACE distinction of
-        AVF analysis.  The early-exit check therefore compares only the
-        live set: a flipped dead register still reconverges, instead of
-        pinning the trial to a full suffix re-execution.
+        AVF analysis.  So a flip into a clear bit is masked without
+        running it (:meth:`live_cycles`, the batched engine's pruning),
+        and the early-exit check at snapshot boundaries compares only
+        the set bits.  ``r0`` is hardwired to zero and never set.
         """
-        live = set()
-        live_at = {}
         instructions = self.program.instructions
+        kill = [
+            ~(1 << instr.writes) if instr.writes is not None else ~0
+            for instr in instructions
+        ]
+        gen = [sum(1 << r for r in set(instr.reads)) for instr in instructions]
+        masks = [0] * len(trace)
+        live = 0
         for cycle in range(len(trace) - 1, -1, -1):
-            instr = instructions[trace[cycle]]
-            written = instr.writes
-            if written is not None:
-                live.discard(written)
-            live.update(instr.reads)
-            if cycle % interval == 0:
-                # r0 is hardwired to zero in every run; never compare it.
-                live_at[cycle] = tuple(sorted(live - {0}))
-        return live_at
+            pc = trace[cycle]
+            live = (live & kill[pc]) | gen[pc]
+            masks[cycle] = live & ~1
+        return np.array(masks, np.uint32)
+
+    def live_cycles(self, element):
+        """Sorted golden cycles at which a flip of ``element`` can matter.
+
+        For ``regN``: the cycles at which register ``N`` is live-in on
+        the golden run (empty for ``reg0``); a flip at any other cycle
+        is un-ACE and classifies ``MASKED``.  ``None`` for ``pc``/``ir``,
+        whose flips leave the golden trace at once.
+        """
+        if not element.startswith("reg"):
+            return None
+        bit = np.uint32(1 << int(element[3:]))
+        return np.flatnonzero(self._live_mask & bit)
 
     def _injection_context(self, cycle):
         """Log-feature context: the golden instruction at the injection
@@ -294,20 +313,34 @@ class FaultInjector:
         return records
 
     def _inject_batched(self, coords):
-        """Outcomes for ``coords`` on the vectorized engine, in input order."""
+        """Outcomes for ``coords`` on the vectorized engine, in input order.
+
+        Register flips at cycles where the register is dead on the
+        golden run (:meth:`live_cycles`) get the golden classification
+        without building a lane: one vectorized mask test per call.
+        """
+        golden = self._classify(self.golden_output, self.golden_cycles)
         outcomes = [None] * len(coords)
         lanes = []
         offtrace = []
         for i, (cycle, element, bit) in enumerate(coords):
             if not 0 <= cycle < self.golden_cycles:
+                obs.inc("arch.fi.engine.out_of_window")
                 obs.inc("arch.fi.engine.cycles_skipped", self.golden_cycles)
-                outcomes[i] = self._classify(
-                    self.golden_output, self.golden_cycles
-                )
+                outcomes[i] = golden
             elif element.startswith("reg"):
                 lanes.append((i, cycle, int(element[3:]), bit))
             else:
                 offtrace.append((i, cycle, element, bit))
+        if lanes:
+            cycles, regs = np.array([lane[1:3] for lane in lanes]).T
+            live = (self._live_mask[cycles] >> regs.astype(np.uint32)) & 1
+            dead = np.flatnonzero(live == 0)
+            if dead.size:
+                obs.inc("arch.fi.engine.pruned_dead", int(dead.size))
+                for j in dead.tolist():
+                    outcomes[lanes[j][0]] = golden
+                lanes = [lanes[j] for j in np.flatnonzero(live).tolist()]
         if offtrace:
             engine = self._batched_engine()
             obs.inc("arch.fi.engine.batch.offtrace_trials", len(offtrace))

@@ -11,23 +11,31 @@ soon as the quantity of interest is known tightly enough.
 This module implements that loop as an **adaptive unit source** for the
 campaign scheduler:
 
-* The coordinate space is stratified by ``element x cycle-phase``; each
-  stratum's probability under the uniform campaign measure (``q_s``) is
-  known exactly, so the post-stratified estimator
-  ``sum_s q_s * p_hat_s`` is an unbiased estimate of the
-  uniform-campaign AVF **no matter how trials are allocated** — steering
-  moves variance, never the estimand (see
+* The coordinate space is stratified by ``element x cycle-phase``, and
+  each register stratum keeps only the cycles at which its register is
+  live on the golden run (:meth:`FaultInjector.live_cycles`): a flip at
+  a dead cycle is masked for sure, so the dead mass is an exact zero
+  that needs no trials.  Each live stratum's probability under the
+  uniform campaign measure (``q_s``) is known exactly, so the
+  post-stratified estimator ``sum_s q_s * p_hat_s`` is an unbiased
+  estimate of the uniform-campaign AVF **no matter how trials are
+  allocated** — steering moves variance, never the estimand (see
   :func:`repro.runtime.stats.stratified_estimate`).
 * Trials are generated in **rounds**.  Round 0 covers every stratum
-  proportionally; later rounds allocate by a Neyman rule
+  proportionally with half of ``round_trials``; every later round
+  (round 1 is the other half) allocates by a Neyman rule
   ``n_s ~ q_s * sqrt(p~_s (1 - p~_s))`` where ``p~_s`` blends the
   observed stratum rate with a surrogate model
-  (:class:`repro.ml.GradientBoostingClassifier`, refit online on
-  :func:`repro.arch.vulnerability.element_features` + cycle-phase
-  features), mixed with an ``explore`` floor of the uniform measure.
-* After every sealed round the CI half-width of the estimate is checked
-  against ``target_ci``; the campaign **stops early** once the target
-  is met, and the unspent budget is reported as ``trials_saved``.
+  (:class:`repro.ml.GradientBoostingClassifier`, refit at every round
+  boundary on :func:`repro.arch.vulnerability.element_features` +
+  cycle-phase features), mixed with an ``explore`` floor of the
+  uniform measure.  So every steered round but round 0 follows one
+  refit, and a campaign's cost grows with its rounds.
+* After every sealed round from round 1 on, the CI half-width of the
+  estimate (from the observed, Jeffreys-smoothed stratum rates — the
+  surrogate steers allocation only) is checked against ``target_ci``;
+  the campaign **stops early** once the target is met, and the unspent
+  budget is reported as ``trials_saved``.
 
 Determinism contract: round ``r``'s coordinates are drawn from the
 documented seed-tree child ``SeedSequence(entropy=seed,
@@ -71,6 +79,13 @@ STEER_STREAM_DOC = (
     "spawn_key=(STEER_STREAM_KEY, r)))"
 )
 
+#: Run-level cache-key tag of the coordinate generator.  Bumped whenever
+#: the same seed and config would generate different coordinates (here:
+#: live-cycle pools, and the first round split into a covering and a
+#: steered half), so a cache or journal written by an older generator
+#: never replays its units under the same unit keys.
+STEER_KEY_GENERATION = "live-pools-split-bootstrap"
+
 #: Outcomes that count as failures for AVF (matches
 #: :meth:`CampaignResult.failure_rate`).
 _FAILURE_OUTCOMES = (Outcome.SDC, Outcome.CRASH, Outcome.HANG)
@@ -90,12 +105,11 @@ class SteeringConfig:
 
     target_ci: float = 0.02  #: stop when the CI half-width reaches this
     confidence: float = 0.95
-    round_trials: int = 128  #: trials generated per adaptive round
+    round_trials: int = 128  #: trials per round (round 0 + 1 share one)
     chunk_size: int = 32  #: trials per scheduler unit
     phase_bins: int = 4  #: cycle-phase strata per element
     explore: float = 0.05  #: floor share allocated by the uniform measure
     surrogate: str = "gbdt"  #: "gbdt" or "none" (empirical only)
-    refit_chunks: int = 4  #: refit after this many new committed chunks
     prior_strength: float = 4.0  #: pseudo-trials the surrogate contributes
     early_stop: bool = True
 
@@ -117,8 +131,6 @@ class SteeringConfig:
             raise ValueError("explore must be in [0, 1]")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"surrogate must be one of {SURROGATES}")
-        if self.refit_chunks < 1:
-            raise ValueError("refit_chunks must be positive")
         if self.prior_strength < 0:
             raise ValueError("prior_strength must be non-negative")
         if self.mode not in MODES:
@@ -183,10 +195,16 @@ class SteeredUnitSource:
     the manifest journal stays resume-compatible; only the coordinates
     inside each chunk are decided adaptively, at round-seal time, from
     committed outcomes alone.
+
+    ``live_cycles``, aligned with ``elements``, gives each element's
+    sorted golden live cycles (:meth:`FaultInjector.live_cycles`; a
+    ``None`` entry means every cycle).  Steered rounds draw only from
+    them; an element set with no live cycle at all stops at once with
+    the exact AVF 0 (``stop_reason="exact"``).
     """
 
     def __init__(self, *, seed, budget, elements, golden_cycles,
-                 config=None, features=None):
+                 config=None, features=None, live_cycles=None):
         self.config = config or SteeringConfig()
         self.config.validate()
         cfg = self.config
@@ -212,22 +230,39 @@ class SteeredUnitSource:
         self.features = features
 
         # Strata: element x cycle-phase, in fixed (element, phase) order.
+        # Steered runs keep only each stratum's live cycles (the pool
+        # they draw from): a flip at a dead cycle is masked for sure, so
+        # that mass is an exact zero and needs no trials.  ``None`` (an
+        # element without a liveness pool, or uniform mode) means every
+        # cycle of the phase.
         bins = min(cfg.phase_bins, self.golden_cycles)
         self._phase_bounds = [
             b * self.golden_cycles // bins for b in range(bins + 1)
         ]
         self._bins = bins
-        self._strata = [
-            (e, b) for e in range(len(self.elements)) for b in range(bins)
-        ]
+        if live_cycles is None or cfg.mode != "steered":
+            live_cycles = [None] * len(self.elements)
+        if len(live_cycles) != len(self.elements):
+            raise ValueError("live_cycles must align with elements")
+        self._strata = []
+        self._pools = []
+        for e, live in enumerate(live_cycles):
+            live = (np.arange(self.golden_cycles) if live is None
+                    else np.asarray(live, dtype=np.int64))
+            cuts = np.searchsorted(live, self._phase_bounds)
+            for b in range(bins):
+                pool = live[cuts[b]:cuts[b + 1]]
+                if len(pool):
+                    self._strata.append((e, b))
+                    self._pools.append(pool)
+        sizes = [len(pool) for pool in self._pools]
         self._stratum_index = {s: k for k, s in enumerate(self._strata)}
         self._element_index = {e: k for k, e in enumerate(self.elements)}
-        n_el = len(self.elements)
-        self._q = [
-            (self._phase_bounds[b + 1] - self._phase_bounds[b])
-            / self.golden_cycles / n_el
-            for (_, b) in self._strata
-        ]
+        # ``live_mass`` is the live strata's share of the uniform measure;
+        # ``_q`` renormalises them to sum to 1 (the estimate scales back).
+        total = sum(sizes)
+        self.live_mass = total / (self.golden_cycles * len(self.elements))
+        self._q = [size / total for size in sizes]
 
         # Static unit layout: round sizes are config-determined.
         self._round_sizes = self._plan_rounds()
@@ -252,30 +287,41 @@ class SteeredUnitSource:
         self._trials_committed = 0
         self._failures_committed = 0
         self._p_model = None  # per-stratum surrogate probabilities
-        self._units_since_fit = 0
         self.refits = 0
         self.stopped = False
         self.stop_reason = None
         self.trajectory = []  # one dict per sealed round
-        self._generate_round()
+        if self._strata:
+            self._generate_round()
+        else:
+            # No live coordinate: the AVF is exactly 0, with no trial.
+            self._stop("exact", 0.0, 0.0)
 
     # -- static layout ---------------------------------------------------
     def _plan_rounds(self):
         cfg = self.config
         sizes = []
+        if not self._strata:
+            return sizes
         remaining = self.budget
-        first = cfg.round_trials
+        head = []
         if cfg.mode == "steered":
-            # The bootstrap round must reach every stratum at least once
-            # or the post-stratified estimator is undefined.
-            first = max(first, len(self._strata))
+            # The first round_trials split in two: the bootstrap round
+            # must reach every stratum at least once or the
+            # post-stratified estimator is undefined; the surrogate,
+            # fitted on it, steers the other half.
+            half = max(cfg.round_trials // 2, 1)
+            first = max(half, len(self._strata))
             if self.budget < first:
                 raise ValueError(
                     f"budget ({self.budget}) must cover the bootstrap "
-                    f"round ({first} trials: max(round_trials, strata))"
+                    f"round ({first} trials: max(round_trials // 2, strata))"
                 )
+            head = [first, half]
         while remaining > 0:
-            size = min(first if not sizes else cfg.round_trials, remaining)
+            r = len(sizes)
+            size = min(head[r] if r < len(head) else cfg.round_trials,
+                       remaining)
             sizes.append(size)
             remaining -= size
         return sizes
@@ -327,7 +373,6 @@ class SteeredUnitSource:
             self._trials_committed += 1
             self._failures_committed += failed
         self._unit_tallies[i] = tallies
-        self._units_since_fit += 1
         while (self._next_commit < len(self._chunks)
                and self._committed[self._next_commit]):
             self._next_commit += 1
@@ -366,21 +411,25 @@ class SteeredUnitSource:
             "steer.round", round=r, trials=self._trials_committed,
             estimate=estimate, halfwidth=halfwidth, target=cfg.target_ci,
         )
-        if cfg.early_stop and halfwidth <= cfg.target_ci:
+        # A steered round 0 holds a few trials per stratum, so its
+        # Jeffreys width speaks for the smoothing prior more than for
+        # the program: the first stop check follows round 1.
+        bootstrap = cfg.mode == "steered" and r == 0
+        if cfg.early_stop and not bootstrap and halfwidth <= cfg.target_ci:
             self._stop("target", estimate, halfwidth)
             return
         if self._rounds_generated >= len(self._round_sizes):
             self._stop("budget", estimate, halfwidth)
             return
         if cfg.mode == "steered" and cfg.surrogate != "none":
-            self._maybe_refit(r)
+            self._refit(r)
         self._generate_round()
 
     def _stop(self, reason, estimate, halfwidth):
         self.stopped = True
         self.stop_reason = reason
         saved = self.budget - self._trials_committed
-        if reason == "target":
+        if reason != "budget":
             obs.inc("arch.fi.steering.stopped_early")
         obs.inc("arch.fi.steering.trials_saved", saved)
         obs.emit(
@@ -403,14 +452,16 @@ class SteeredUnitSource:
                     cfg.confidence,
                 ),
             )
-        # Model-assisted CI: the variance plugs in the same blended
-        # per-stratum rates that drive allocation, so a stratum the
-        # surrogate (plus its own observations) calls dead contributes
-        # ~zero width instead of a worst-case continuity correction.
-        return stratified_estimate(
-            self._q, self._f_s, self._n_s, cfg.confidence,
-            variance_rates=self._blended(),
+        # Dead coordinates are an exact-zero stratum of mass
+        # 1 - live_mass: the estimate and its width are the live
+        # strata's, on their renormalised weights, scaled by live_mass.
+        # The width uses observed (Jeffreys) rates, never the surrogate.
+        if not self._strata:
+            return 0.0, 0.0
+        estimate, halfwidth = stratified_estimate(
+            self._q, self._f_s, self._n_s, cfg.confidence
         )
+        return self.live_mass * estimate, self.live_mass * halfwidth
 
     def _global_rate(self):
         # Laplace-smoothed so an all-masked or all-failed prefix keeps a
@@ -432,10 +483,8 @@ class SteeredUnitSource:
         return out
 
     # -- surrogate -------------------------------------------------------
-    def _maybe_refit(self, sealed_round):
+    def _refit(self, sealed_round):
         cfg = self.config
-        if self._units_since_fit < cfg.refit_chunks:
-            return
         X, y = self._training_set()
         if len(X) > 2048:
             # Cap the fit cost: evenly spaced row selection is
@@ -445,7 +494,6 @@ class SteeredUnitSource:
         if len(np.unique(y)) < 2:
             # Single-class history: the constant rate is the best model.
             self._p_model = np.full(len(self._strata), float(y[0]) if len(y) else 0.5)
-            self._units_since_fit = 0
             return
         from repro.ml import GradientBoostingClassifier, StandardScaler
 
@@ -455,7 +503,6 @@ class SteeredUnitSource:
         proba = model.predict_proba(scaler.transform(self._stratum_rows()))
         fail_col = int(np.argmax(model.classes_ == 1))
         self._p_model = proba[:, fail_col]
-        self._units_since_fit = 0
         self.refits += 1
         obs.inc("arch.fi.steering.refits")
         obs.emit(
@@ -535,9 +582,9 @@ class SteeredUnitSource:
             for s, n in enumerate(self._allocation(r, size)):
                 if n == 0:
                     continue
-                e, b = self._strata[s]
-                lo, hi = self._phase_bounds[b], self._phase_bounds[b + 1]
-                cycles = rng.integers(lo, hi, size=n)
+                e, _ = self._strata[s]
+                pool = self._pools[s]
+                cycles = pool[rng.integers(0, len(pool), size=n)]
                 bits = rng.integers(0, 32, size=n)
                 element = self.elements[e]
                 coords.extend(
@@ -556,7 +603,8 @@ class SteeredUnitSource:
         """Steering facts for run records and results (JSON-safe)."""
         cfg = self.config
         estimate, halfwidth = (
-            self.estimate() if self._trials_committed else (0.0, 1.0)
+            self.estimate() if self._trials_committed or not self._strata
+            else (0.0, 1.0)
         )
         return {
             "mode": cfg.mode,
@@ -571,9 +619,10 @@ class SteeredUnitSource:
             "ci_halfwidth": halfwidth,
             "rounds": self._rounds_sealed,
             "refits": self.refits,
-            "stopped_early": self.stop_reason == "target",
+            "stopped_early": self.stop_reason in ("target", "exact"),
             "stop_reason": self.stop_reason,
             "strata": len(self._strata),
+            "live_mass": self.live_mass,
             "phase_bins": self._bins,
             "round_trials": cfg.round_trials,
             "chunk_size": cfg.chunk_size,
@@ -636,6 +685,7 @@ def run_steered_campaign(injector, budget=4096, seed=0, elements=None,
         seed=seed, budget=budget, elements=elements,
         golden_cycles=injector.golden_cycles, config=config,
         features=features,
+        live_cycles=[injector.live_cycles(e) for e in elements],
     )
     worker = functools.partial(_steered_chunk, injector)
     if worker_wrapper is not None:
@@ -652,8 +702,8 @@ def run_steered_campaign(injector, budget=4096, seed=0, elements=None,
     ):
         per_unit = runner.run_units(
             worker, source,
-            key=("fi-steer", injector.fingerprint(), config.fingerprint(),
-                 budget, elements),
+            key=("fi-steer", STEER_KEY_GENERATION, injector.fingerprint(),
+                 config.fingerprint(), budget, elements),
         )
     injector.last_run_stats = runner.stats
     records = [

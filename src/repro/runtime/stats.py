@@ -103,8 +103,7 @@ def hoeffding_halfwidth(n, confidence=0.95):
     return min(1.0, math.sqrt(math.log(2.0 / alpha) / (2.0 * n)))
 
 
-def stratified_estimate(weights, failures, counts, confidence=0.95,
-                        variance_rates=None):
+def stratified_estimate(weights, failures, counts, confidence=0.95):
     """Post-stratified proportion estimate and its CI half-width.
 
     ``weights`` are the strata's probabilities under the *uniform*
@@ -115,28 +114,21 @@ def stratified_estimate(weights, failures, counts, confidence=0.95,
     moves the variance.  Every stratum with positive weight must have
     at least one observation.
 
-    The variance term ``sum_s q_s^2 p_s (1 - p_s) / n_s`` plugs in
-    ``variance_rates`` when given — the steering layer passes its
-    surrogate-blended per-stratum rates here, making the stopping
-    statistic *model-assisted* (the standard adaptive-stratification
-    move; validated empirically against the uniform baseline in
-    BENCH_steer.json).  Without them it falls back to the
-    Jeffreys-smoothed observed rate ``(f + 1/2) / (n + 1)``, which
-    keeps degenerate 0/n and n/n strata from claiming zero variance.
+    The variance term ``sum_s q_s^2 p_s (1 - p_s) / n_s`` plugs in the
+    Jeffreys-smoothed observed rate ``(f + 1/2) / (n + 1)``, which keeps
+    degenerate 0/n and n/n strata from claiming zero variance.
 
     Returns ``(estimate, halfwidth)``.
     """
     if not (len(weights) == len(failures) == len(counts)):
         raise ValueError("weights, failures, counts must align")
-    if variance_rates is not None and len(variance_rates) != len(weights):
-        raise ValueError("variance_rates must align with weights")
     total_w = sum(weights)
     if weights and not math.isclose(total_w, 1.0, rel_tol=0, abs_tol=1e-6):
         raise ValueError(f"stratum weights must sum to 1, got {total_w!r}")
     z = z_value(confidence)
     estimate = 0.0
     variance = 0.0
-    for s, (q, f, n) in enumerate(zip(weights, failures, counts)):
+    for q, f, n in zip(weights, failures, counts):
         if q < 0 or n < 0 or not 0 <= f <= n + 1e-9:
             raise ValueError("invalid stratum tally")
         if q == 0:
@@ -146,10 +138,7 @@ def stratified_estimate(weights, failures, counts, confidence=0.95,
                 "every stratum with positive weight needs >= 1 observation"
             )
         estimate += q * (f / n)
-        if variance_rates is None:
-            p_tilde = (f + 0.5) / (n + 1.0)
-        else:
-            p_tilde = min(max(float(variance_rates[s]), 0.0), 1.0)
+        p_tilde = (f + 0.5) / (n + 1.0)
         variance += q * q * p_tilde * (1.0 - p_tilde) / n
     estimate = min(max(estimate, 0.0), 1.0)
     return estimate, z * math.sqrt(variance)

@@ -12,6 +12,7 @@ one-lane sweeps, so the per-trial tests exercise every lane in
 isolation.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +170,55 @@ def test_property_engines_match_on_every_program(prog_index, coords):
     assert batched.inject_many(coords) == expected
 
 
+def _dead_coordinates(injector):
+    """Every golden-dead ``(cycle, regN, bit)`` coordinate.
+
+    Register-major, ``reg0`` at every cycle; the flipped bit varies with
+    the coordinate so the enumeration covers all 32 bit positions.
+    """
+    coords = []
+    for reg in range(16):
+        element = f"reg{reg}"
+        dead = np.setdiff1d(
+            np.arange(injector.golden_cycles), injector.live_cycles(element)
+        )
+        coords.extend(
+            (cycle, element, (7 * cycle + 13 * reg) % 32)
+            for cycle in dead.tolist()
+        )
+    return coords
+
+
+class TestUnAce:
+    """A flip into a register the golden run overwrites before reading
+    it (or into ``r0``) is un-ACE: the oracle must classify it MASKED,
+    which is what licenses the batched engine to prune it unrun."""
+
+    @pytest.mark.parametrize("program", P.all_programs(), ids=lambda p: p.name)
+    def test_dead_coordinates_mask_on_the_oracle(self, program):
+        # Every dead pair of the short programs, every 16th of the long.
+        ref = FaultInjector(program, engine="reference")
+        coords = _dead_coordinates(ref)
+        assert [c for c, el, _ in coords if el == "reg0"] == list(
+            range(ref.golden_cycles)
+        )
+        coords = coords[::1 if ref.golden_cycles < 200 else 16]
+        records = ref.inject_many(coords)
+        assert {r.outcome for r in records} == {Outcome.MASKED}
+        with obs.collecting():
+            assert FaultInjector(program).inject_many(coords) == records
+            counters = obs.metrics_snapshot()["counters"]
+        assert counters["arch.fi.engine.pruned_dead"] == len(coords)
+
+    def test_liveness_mask_never_marks_r0(self):
+        inj = FaultInjector(P.matmul())
+        assert inj.live_cycles("reg0").size == 0
+        assert inj.live_cycles("pc") is None and inj.live_cycles("ir") is None
+        live = inj.live_cycles("reg1")
+        assert np.all(np.diff(live) > 0)
+        assert 0 <= live[0] and live[-1] < inj.golden_cycles
+
+
 class TestEngineInternals:
     def test_run_span_matches_traced_run(self):
         for prog in P.all_programs():
@@ -213,42 +263,49 @@ class TestEngineInternals:
         assert cpu.cycles == 10
 
     def test_batched_engine_emits_ladder_metrics(self):
+        program = P.dot_product(8)
+        coord = _find_coordinate(program, "arch.fi.engine.early_exits")
         with obs.collecting():
-            batched = FaultInjector(P.checksum(24), engine="batched")
-            batched.run_campaign(n_trials=80, seed=0)
+            batched = FaultInjector(program, engine="batched")
+            batched.inject_many([coord])
             counters = obs.metrics_snapshot()["counters"]
         assert counters["arch.fi.engine.snapshots"] > 0
-        assert counters["arch.fi.engine.early_exits"] > 0
+        assert counters["arch.fi.engine.early_exits"] == 1
         assert counters["arch.fi.engine.cycles_pruned"] > 0
         assert counters["arch.fi.engine.cycles_skipped"] > 0
 
     def test_early_exit_prunes_most_masked_work(self):
-        # Dead-register flips reconverge at the first boundary: the
-        # pruned cycles must dominate the replayed ones on a
-        # masked-heavy campaign.
+        # A live flip that reconverges exits at the next boundary: the
+        # pruned suffix must dominate the replayed gap on a long program
+        # with a sparse ladder.
+        program = P.fir_filter()
+        coord = _find_coordinate(program, "arch.fi.engine.early_exits")
         with obs.collecting():
-            batched = FaultInjector(P.checksum(24), engine="batched")
-            batched.run_campaign(n_trials=120, seed=1)
+            FaultInjector(program, engine="batched").inject_many([coord])
             counters = obs.metrics_snapshot()["counters"]
+        assert counters["arch.fi.engine.early_exits"] == 1
         assert (
             counters["arch.fi.engine.cycles_pruned"]
             > counters["arch.fi.engine.cycles_replayed"]
         )
 
 
-def _find_divergent_coordinate(program):
-    """A (cycle, element, bit) whose trial leaves the golden PC trace."""
-    ref = FaultInjector(program, engine="reference")
+def _find_coordinate(program, counter):
+    """A live register (cycle, element, bit) whose one-lane trial bumps
+    ``counter`` (dead coordinates are pruned before any lane runs)."""
     batched = FaultInjector(program, engine="batched")
-    for cycle in range(0, ref.golden_cycles, 3):
-        for element in ("reg1", "reg2", "reg3", "reg4"):
-            for bit in (0, 3):
+    live = {el: set(batched.live_cycles(el).tolist()) for el in ELEMENTS[1:16]}
+    for cycle in range(0, batched.golden_cycles, 3):
+        for element in ELEMENTS[1:16]:
+            if cycle not in live[element]:
+                continue
+            for bit in (0, 3, 31):
                 with obs.collecting():
                     batched.inject_many([(cycle, element, bit)])
                     counters = obs.metrics_snapshot()["counters"]
-                if counters.get("arch.fi.engine.batch.divergences", 0):
+                if counters.get(counter, 0):
                     return cycle, element, bit
-    raise AssertionError("no divergent coordinate found")
+    raise AssertionError(f"no coordinate bumps {counter}")
 
 
 class TestBatchedEngine:
@@ -257,7 +314,7 @@ class TestBatchedEngine:
         # drop out of the lockstep sweep and still classify exactly as
         # the oracle engine does.
         program = P.bubble_sort(6)
-        coord = _find_divergent_coordinate(program)
+        coord = _find_coordinate(program, "arch.fi.engine.batch.divergences")
         ref, batched = _pair(program)
         expected = _one(ref, *coord)
         with obs.collecting():
@@ -279,25 +336,37 @@ class TestBatchedEngine:
     def test_offtrace_and_out_of_range_partitions(self):
         ref, batched = _pair(P.checksum(16))
         n = ref.golden_cycles
+        live = batched.live_cycles("reg4")
+        dead = sorted(set(range(n)) - set(live.tolist()))
         coords = [
             (0, "ir", 7), (n // 2, "pc", 1), (n + 10, "reg3", 4),
-            (n // 3, "reg5", 12),
+            (int(live[len(live) // 2]), "reg4", 12), (dead[0], "reg4", 9),
         ]
         with obs.collecting():
             records = batched.inject_many(coords)
             counters = obs.metrics_snapshot()["counters"]
         assert records == ref.inject_many(coords)
         assert counters["arch.fi.engine.batch.offtrace_trials"] == 2
+        assert counters["arch.fi.engine.out_of_window"] == 1
         assert counters["arch.fi.engine.batch.lanes"] == 1
+        assert counters["arch.fi.engine.pruned_dead"] == 1
         assert records[2].outcome is Outcome.MASKED
+        assert records[4].outcome is Outcome.MASKED
 
     def test_batch_occupancy_metrics(self):
+        program = P.dot_product(8)
+        batched = FaultInjector(program, engine="batched")
+        coords = [_find_coordinate(program, "arch.fi.engine.early_exits")]
+        coords += [
+            (c, "reg2", b) for c in batched.live_cycles("reg2")[::7].tolist()
+            for b in (1, 30)
+        ]
         with obs.collecting():
-            batched = FaultInjector(P.checksum(24), engine="batched")
-            batched.run_campaign(n_trials=100, seed=2)
+            batched.inject_many(coords)
             counters = obs.metrics_snapshot()["counters"]
+        assert counters.get("arch.fi.engine.pruned_dead", 0) == 0
         assert counters["arch.fi.engine.batch.groups"] >= 1
-        assert counters["arch.fi.engine.batch.lanes"] > 0
+        assert counters["arch.fi.engine.batch.lanes"] == len(coords)
         assert counters["arch.fi.engine.batch.vector_cycles"] > 0
         # Occupancy: lane-cycles per vector-cycle is the mean active
         # width; it can never exceed the lane count.
@@ -307,6 +376,21 @@ class TestBatchedEngine:
             * counters["arch.fi.engine.batch.vector_cycles"]
         )
         assert counters["arch.fi.engine.early_exits"] > 0
+
+    def test_uniform_campaign_trial_accounting(self):
+        # Every trial takes exactly one engine path: pruned as dead, a
+        # lockstep lane, an off-trace pc/ir run, or out of the window.
+        with obs.collecting():
+            FaultInjector(P.checksum(24)).run_campaign(n_trials=300, seed=4)
+            counters = obs.metrics_snapshot()["counters"]
+        assert counters["arch.fi.engine.pruned_dead"] > 0
+        assert (
+            counters["arch.fi.engine.pruned_dead"]
+            + counters["arch.fi.engine.batch.lanes"]
+            + counters["arch.fi.engine.batch.offtrace_trials"]
+            + counters.get("arch.fi.engine.out_of_window", 0)
+            == counters["arch.fault_injection.trials"] == 300
+        )
 
     def test_engine_stats_reports_resolution_and_ladder(self):
         inj = FaultInjector(P.fibonacci(10))

@@ -134,22 +134,11 @@ class TestStratifiedEstimate:
         skewed, _ = stratified_estimate([0.5, 0.5], [20, 40], [200, 100])
         assert skewed == pytest.approx(base)
 
-    def test_variance_rates_tighten_degenerate_strata(self):
-        # A 0/n stratum claims Jeffreys variance by default; a model
-        # rate of exactly 0 removes it.
-        _, default_hw = stratified_estimate([0.5, 0.5], [0, 50], [100, 100])
-        _, model_hw = stratified_estimate(
-            [0.5, 0.5], [0, 50], [100, 100], variance_rates=[0.0, 0.5]
-        )
-        assert model_hw < default_hw
-
     def test_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
             stratified_estimate([0.5, 0.4], [1, 1], [10, 10])
         with pytest.raises(ValueError, match="observation"):
             stratified_estimate([0.5, 0.5], [1, 0], [10, 0])
-        with pytest.raises(ValueError, match="align"):
-            stratified_estimate([1.0], [1], [10], variance_rates=[0.1, 0.2])
         with pytest.raises(ValueError, match="align"):
             stratified_estimate([1.0], [1, 2], [10])
 

@@ -11,6 +11,7 @@ import hashlib
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.arch import (
@@ -21,7 +22,7 @@ from repro.arch import (
 )
 from repro.arch import programs as P
 from repro.runtime import CampaignRunner, ChunkSource, ResultCache
-from repro.runtime.stats import wilson_halfwidth
+from repro.runtime.stats import stratified_estimate, wilson_halfwidth
 
 
 def _digest(result):
@@ -49,6 +50,15 @@ def injector():
 @pytest.fixture(scope="module")
 def steered(injector):
     return injector.run_steered_campaign(budget=2048, seed=3)
+
+
+@pytest.fixture(scope="module")
+def tight(injector):
+    # At the default ±0.02 checksum stops at its first check, after one
+    # refit; ±0.01 runs a round longer, so two refits shape allocation.
+    return injector.run_steered_campaign(
+        budget=2048, seed=3, config=SteeringConfig(target_ci=0.01)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +206,7 @@ class TestSteeredUnitSource:
             dict(confidence=1.0), dict(round_trials=0),
             dict(chunk_size=0), dict(phase_bins=0),
             dict(explore=1.5), dict(surrogate="mlp"), dict(surrogate="knn"),
-            dict(refit_chunks=0), dict(prior_strength=-1),
+            dict(prior_strength=-1),
             dict(mode="greedy"),
         ):
             with pytest.raises(ValueError):
@@ -241,8 +251,10 @@ class TestSteeredUnitSource:
                 for c, e, _ in source.item(i).coords
             ]
             source.on_result(i, records)
-        assert source.trajectory and source.trajectory[0]["trials"] == 16
-        assert sum(source._n_s) == 16
+        # Round 0 is half of round_trials, and at least one trial per
+        # stratum: 8 either way here.
+        assert source.trajectory and source.trajectory[0]["trials"] == 8
+        assert sum(source._n_s) == 8
         # Every stratum got its round-0 minimum of one trial, tallied
         # into the stratum it was generated for.
         assert all(n >= 1 for n in source._n_s)
@@ -258,10 +270,95 @@ class TestSteeredUnitSource:
                 for c, e, _ in source.item(i).coords
             ]
             source.on_result(i, records)
-        assert source.trajectory and source.trajectory[0]["trials"] == 128
+        assert source.trajectory and source.trajectory[0]["trials"] == 64
         # All-masked tallies: estimate 0, new round generated.
         assert source.trajectory[0]["estimate"] == 0.0
         assert source.available() > first_round_units
+
+    def test_bootstrap_round_never_stops_a_steered_campaign(self):
+        # An all-masked bootstrap round already meets any target; the
+        # first stop check still waits for round 1, the first one the
+        # surrogate steers.
+        source = self._source(budget=512, target_ci=0.1)
+        assert [source.weight(i) for i in range(source.available())] == [32, 32]
+        for _ in range(2):
+            for i in range(source._next_commit, source.available()):
+                records = [
+                    SimpleNamespace(cycle=c, element=e, outcome=Outcome.MASKED)
+                    for c, e, _ in source.item(i).coords
+                ]
+                source.on_result(i, records)
+        assert [t["trials"] for t in source.trajectory] == [64, 128]
+        assert source.trajectory[0]["halfwidth"] <= 0.1
+        assert source.stop_reason == "target" and source.exhausted
+
+
+class TestLiveStrata:
+    """Steering samples only live coordinates; dead mass is an exact 0."""
+
+    def _source(self, **overrides):
+        cfg = SteeringConfig(surrogate="none", round_trials=64, chunk_size=16,
+                             early_stop=False)
+        return SteeredUnitSource(
+            seed=2, budget=256, elements=["reg1", "reg2", "pc"],
+            golden_cycles=40, config=cfg,
+            live_cycles=[np.arange(0, 40, 3), np.array([5, 6, 7]), None],
+            **overrides,
+        )
+
+    def test_draws_only_live_cycles_and_drops_dead_strata(self):
+        source = self._source()
+        pools = {"reg1": set(range(0, 40, 3)), "reg2": {5, 6, 7},
+                 "pc": set(range(40))}
+        for i in range(source.available()):
+            for cycle, element, _ in source.item(i).coords:
+                assert cycle in pools[element]
+        # reg2's live cycles all sit in phase 0; its other phases go.
+        assert [s for s in source._strata if s[0] == 1] == [(1, 0)]
+        assert source.live_mass == pytest.approx((14 + 3 + 40) / 120)
+
+    def test_halfwidth_is_jeffreys_on_live_weights_scaled(self):
+        source = self._source()
+        for i in range(source.available()):
+            records = [
+                SimpleNamespace(
+                    cycle=c, element=e,
+                    outcome=Outcome.SDC if (c + b) % 3 == 0 else Outcome.MASKED,
+                )
+                for c, e, b in source.item(i).coords
+            ]
+            source.on_result(i, records)
+        estimate, halfwidth = source.estimate()
+        live = source.live_mass
+        counts = [int(n) for n in source._n_s]
+        fails = [int(f) for f in source._f_s]
+        sizes = [4, 3, 3, 4, 3, 10, 10, 10, 10]  # live cycles per stratum
+        weights = [n / sum(sizes) for n in sizes]
+        exp_est, exp_hw = stratified_estimate(weights, fails, counts)
+        assert estimate == pytest.approx(live * exp_est, rel=1e-12)
+        assert halfwidth == pytest.approx(live * exp_hw, rel=1e-12)
+        assert source.summary()["live_mass"] == live
+
+    def test_all_dead_elements_are_exactly_zero_without_trials(self, injector):
+        result = injector.run_steered_campaign(budget=512, elements=["reg0"])
+        s = result.steering
+        assert result.records == []
+        assert (s["avf_estimate"], s["ci_halfwidth"]) == (0.0, 0.0)
+        assert s["trials_executed"] == 0 and s["trials_saved"] == 512
+        assert s["stop_reason"] == "exact" and s["stopped_early"]
+        assert s["live_mass"] == 0.0 and s["strata"] == 0
+        assert s["rounds"] == 0 and s["trajectory"] == []
+
+    def test_uniform_mode_ignores_liveness(self):
+        cfg = SteeringConfig(mode="uniform", round_trials=64, chunk_size=16)
+        source = SteeredUnitSource(
+            seed=2, budget=256, elements=["reg1"], golden_cycles=40,
+            config=cfg, live_cycles=[np.array([5])],
+        )
+        assert source.live_mass == 1.0
+        cycles = {c for i in range(source.available())
+                  for c, _, _ in source.item(i).coords}
+        assert len(cycles) > 1
 
 
 class TestSteeredCampaign:
@@ -273,25 +370,42 @@ class TestSteeredCampaign:
         assert len(steered.records) == s["trials_executed"]
         assert s["ci_halfwidth"] <= s["target_ci"]
 
-    def test_trajectory_tightens_to_target(self, steered):
-        s = steered.steering
+    def test_trajectory_tightens_to_target(self, tight):
+        s = tight.steering
         trials = [t["trials"] for t in s["trajectory"]]
         assert trials == sorted(trials) and len(set(trials)) == len(trials)
         assert s["trajectory"][-1]["halfwidth"] <= s["target_ci"]
         assert len(s["trajectory"]) == s["rounds"]
         assert s["refits"] >= 1
 
-    def test_steering_outcome_is_pinned(self, steered):
-        # Captured with the masked per-threshold CART split search.  The
-        # prefix-sum search must grow the same surrogate trees, so the
-        # allocation, the stop and the estimate are unchanged.  The float
-        # tolerance admits only last-bit differences between numpy builds
-        # (SIMD exp/log); a different tree or allocation moves the
+    def test_steering_outcome_is_pinned(self, tight):
+        # Captured with live-cycle strata, the Jeffreys stopping width and
+        # the split bootstrap round, on the ±0.01 run so that two
+        # surrogate refits shape the allocation.  The float tolerance
+        # admits only last-bit differences between numpy builds (SIMD
+        # exp/log); a different tree, allocation or live pool moves the
         # estimate far more.
-        s = steered.steering
-        assert (s["trials_executed"], s["refits"]) == (512, 3)
-        assert s["avf_estimate"] == pytest.approx(0.2589319117096894, rel=1e-12)
-        assert s["ci_halfwidth"] == pytest.approx(0.019331144641678354, rel=1e-12)
+        s = tight.steering
+        assert (s["trials_executed"], s["refits"]) == (256, 2)
+        assert s["avf_estimate"] == pytest.approx(0.25147215383750887, rel=1e-12)
+        assert s["ci_halfwidth"] == pytest.approx(0.00999321412970548, rel=1e-12)
+
+    def test_one_refit_per_round_boundary(self, tight):
+        # Every round after the bootstrap one follows a refit, so a
+        # campaign's cost grows with its rounds.
+        s = tight.steering
+        assert s["refits"] == s["rounds"] - 1
+
+    def test_chunk_size_does_not_change_the_campaign(self, injector, tight):
+        # Rounds, refits and stop checks happen at round boundaries only,
+        # so the scheduler's unit size leaves every coordinate alone.
+        other = injector.run_steered_campaign(
+            budget=2048, seed=3,
+            config=SteeringConfig(target_ci=0.01, chunk_size=64),
+        )
+        assert _digest(other) == _digest(tight)
+        assert other.steering["trajectory"] == tight.steering["trajectory"]
+        assert other.steering["refits"] == tight.steering["refits"]
 
     def test_steered_agrees_with_uniform_baseline(self, steered, uniform):
         # Two 95% CIs for the same AVF: their centres must lie within
