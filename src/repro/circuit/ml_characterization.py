@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.circuit.cell import LookupTable, TimingArc
 from repro.circuit.characterization import SpiceLikeCharacterizer
 from repro.ml.mlp import MLPRegressor
@@ -81,31 +82,36 @@ class MLCharacterizer:
 
     def fit(self, library, n_samples=1500):
         """Train on random (cell, condition) pairs labelled by the oracle."""
-        cells = list(library)
-        if not cells:
-            raise ValueError("library is empty")
-        rng = np.random.default_rng(self.seed)
-        slews, loads, temps, dvth = self._sample_conditions(n_samples, rng)
-        X = []
-        y = []
-        for i in range(n_samples):
-            cell = cells[rng.integers(len(cells))]
-            delay = self.oracle.arc_delay(
-                cell,
-                slews[i],
-                loads[i],
-                temperature_c=temps[i],
-                vdd=library.vdd,
-                delta_vth=dvth[i],
-            )
-            X.append(_cell_features(cell) + _condition_features(slews[i], loads[i], temps[i], dvth[i]))
-            y.append(delay)
-        X = np.asarray(X)
-        y = np.asarray(y)
-        self._scaler = StandardScaler().fit(X)
-        self._model = self.model_factory()
-        # Learn log-delay: delays span decades across strengths/loads.
-        self._model.fit(self._scaler.transform(X), np.log(y))
+        with obs.span("circuit.ml_char.label"):
+            cells = list(library)
+            if not cells:
+                raise ValueError("library is empty")
+            rng = np.random.default_rng(self.seed)
+            slews, loads, temps, dvth = self._sample_conditions(n_samples, rng)
+            X = []
+            y = []
+            for i in range(n_samples):
+                cell = cells[rng.integers(len(cells))]
+                delay = self.oracle.arc_delay(
+                    cell,
+                    slews[i],
+                    loads[i],
+                    temperature_c=temps[i],
+                    vdd=library.vdd,
+                    delta_vth=dvth[i],
+                )
+                X.append(
+                    _cell_features(cell)
+                    + _condition_features(slews[i], loads[i], temps[i], dvth[i])
+                )
+                y.append(delay)
+            X = np.asarray(X)
+            y = np.asarray(y)
+            self._scaler = StandardScaler().fit(X)
+            self._model = self.model_factory()
+            # Learn log-delay: delays span decades across strengths/loads.
+            with obs.span("ml.mlp.fit", rows=len(X)):
+                self._model.fit(self._scaler.transform(X), np.log(y))
         self.training_points_ = n_samples
         return self
 
@@ -176,41 +182,43 @@ class MLCharacterizer:
             ``"<cell>@<instance>"``); ``resolver`` plugs directly into
             :class:`repro.circuit.sta.StaticTimingAnalysis`.
         """
-        instance_delta_vth = instance_delta_vth or {}
-        lib = base_library.clone_empty(name=name or f"{base_library.name}_per_instance")
-        mapping = {}
-        for inst in netlist:
-            base_cell = base_library.get(inst.cell_name)
-            per_inst = base_cell.clone_uncharacterized(
-                name=f"{inst.cell_name}@{inst.name}"
-            )
-            self.characterize_cell(
-                per_inst,
-                temperature_c=instance_temperature.get(inst.name, base_library.temperature_c),
-                delta_vth=instance_delta_vth.get(inst.name, base_library.delta_vth),
-            )
-            lib.add(per_inst)
-            mapping[inst.name] = per_inst
+        with obs.span("circuit.ml_char.generate"):
+            instance_delta_vth = instance_delta_vth or {}
+            lib = base_library.clone_empty(name=name or f"{base_library.name}_per_instance")
+            mapping = {}
+            for inst in netlist:
+                base_cell = base_library.get(inst.cell_name)
+                per_inst = base_cell.clone_uncharacterized(
+                    name=f"{inst.cell_name}@{inst.name}"
+                )
+                self.characterize_cell(
+                    per_inst,
+                    temperature_c=instance_temperature.get(inst.name, base_library.temperature_c),
+                    delta_vth=instance_delta_vth.get(inst.name, base_library.delta_vth),
+                )
+                lib.add(per_inst)
+                mapping[inst.name] = per_inst
 
-        def resolver(instance):
-            return mapping[instance.name]
+            def resolver(instance):
+                return mapping[instance.name]
 
-        return lib, resolver
+            return lib, resolver
 
     def validate(self, library, n_samples=300, seed=1):
         """Mean absolute percentage error vs the oracle on held-out points."""
-        cells = list(library)
-        rng = np.random.default_rng(seed)
-        slews, loads, temps, dvth = self._sample_conditions(n_samples, rng)
-        errors = []
-        for i in range(n_samples):
-            cell = cells[rng.integers(len(cells))]
-            truth = self.oracle.arc_delay(
-                cell, slews[i], loads[i],
-                temperature_c=temps[i], vdd=library.vdd, delta_vth=dvth[i],
-            )
-            pred = self.predict_delay(
-                cell, slews[i], loads[i], temperature_c=temps[i], delta_vth=dvth[i]
-            )
-            errors.append(abs(pred - truth) / truth)
-        return float(np.mean(errors))
+        with obs.span("circuit.ml_char.validate"):
+            cells = list(library)
+            rng = np.random.default_rng(seed)
+            slews, loads, temps, dvth = self._sample_conditions(n_samples, rng)
+            errors = []
+            for i in range(n_samples):
+                cell = cells[rng.integers(len(cells))]
+                truth = self.oracle.arc_delay(
+                    cell, slews[i], loads[i],
+                    temperature_c=temps[i], vdd=library.vdd, delta_vth=dvth[i],
+                )
+                pred = self.predict_delay(
+                    cell, slews[i], loads[i], temperature_c=temps[i], delta_vth=dvth[i]
+                )
+                errors.append(abs(pred - truth) / truth)
+            return float(np.mean(errors))

@@ -67,49 +67,90 @@ class _MLPBase:
         return activations
 
     def _fit_loop(self, X, T):
+        """Mini-batch Adam over one flat parameter vector.
+
+        Every weight and bias is a view into ``params`` (weights first, so
+        the L2 term is one slice) and every gradient a view into ``grads``,
+        so one Adam step is a fixed handful of whole-vector in-place ufuncs.
+        Each element still sees the per-layer update's operations in the
+        same order, so the trained weights and ``loss_curve_`` are
+        bit-identical to updating layer by layer.
+        """
         n = len(X)
         self._init_params(X.shape[1], T.shape[1])
-        rng = np.random.default_rng(self.seed + 1)
-        # Adam state
-        m_w = [np.zeros_like(W) for W in self.weights_]
-        v_w = [np.zeros_like(W) for W in self.weights_]
-        m_b = [np.zeros_like(b) for b in self.biases_]
-        v_b = [np.zeros_like(b) for b in self.biases_]
+        layers = self.weights_ + self.biases_
+        offsets = np.cumsum([0] + [a.size for a in layers])
+        params = np.concatenate([a.ravel() for a in layers])
+        grads = np.empty_like(params)
+
+        def views(buf):
+            return [buf[lo:hi].reshape(a.shape)
+                    for lo, hi, a in zip(offsets, offsets[1:], layers)]
+
+        n_layers = len(self.weights_)
+        n_weights = offsets[n_layers]
+        p_views, g_views = views(params), views(grads)
+        weights, biases = p_views[:n_layers], p_views[n_layers:]
+        grad_w, grad_b = g_views[:n_layers], g_views[n_layers:]
+        # Adam state and two scratch vectors.
+        m = np.zeros_like(params)
+        v = np.zeros_like(params)
+        s1 = np.empty_like(params)
+        s2 = np.empty_like(params)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(self.seed + 1)
         step = 0
         self.loss_curve_ = []
         batch = min(self.batch_size, n)
         for epoch in range(self.n_epochs):
             order = rng.permutation(n)
+            Xp, Tp = X[order], T[order]
             epoch_loss = 0.0
             for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                acts = self._forward(X[idx])
-                delta, loss = self._output_grad(acts[-1], T[idx])
-                epoch_loss += loss * len(idx)
-                grads_w = []
-                grads_b = []
-                for layer in range(len(self.weights_) - 1, -1, -1):
-                    a_prev = acts[layer]
-                    grads_w.append(a_prev.T @ delta / len(idx) + self.l2 * self.weights_[layer])
-                    grads_b.append(delta.mean(axis=0))
+                acts = [Xp[start : start + batch]]
+                nb = len(acts[0])
+                for W, b in zip(weights[:-1], biases[:-1]):
+                    h = acts[-1] @ W
+                    h += b
+                    np.maximum(h, 0.0, out=h)
+                    acts.append(h)
+                z = acts[-1] @ weights[-1]
+                z += biases[-1]
+                delta, loss = self._output_grad(z, Tp[start : start + batch])
+                epoch_loss += loss * nb
+                for layer in range(n_layers - 1, -1, -1):
+                    np.matmul(acts[layer].T, delta, out=grad_w[layer])
+                    grad_w[layer] /= nb
+                    np.add.reduce(delta, axis=0, out=grad_b[layer])
+                    grad_b[layer] /= nb
                     if layer > 0:
-                        delta = (delta @ self.weights_[layer].T) * (acts[layer] > 0)
-                grads_w.reverse()
-                grads_b.reverse()
+                        delta = delta @ weights[layer].T
+                        delta *= acts[layer] > 0
+                if self.l2:
+                    # Skipped at l2=0: adding 0*W to finite weights can only
+                    # flip the sign of a zero gradient, which neither Adam
+                    # moment below can see.
+                    np.multiply(params[:n_weights], self.l2, out=s1[:n_weights])
+                    grads[:n_weights] += s1[:n_weights]
                 step += 1
-                for layer in range(len(self.weights_)):
-                    m_w[layer] = beta1 * m_w[layer] + (1 - beta1) * grads_w[layer]
-                    v_w[layer] = beta2 * v_w[layer] + (1 - beta2) * grads_w[layer] ** 2
-                    m_b[layer] = beta1 * m_b[layer] + (1 - beta1) * grads_b[layer]
-                    v_b[layer] = beta2 * v_b[layer] + (1 - beta2) * grads_b[layer] ** 2
-                    mw_hat = m_w[layer] / (1 - beta1**step)
-                    vw_hat = v_w[layer] / (1 - beta2**step)
-                    mb_hat = m_b[layer] / (1 - beta1**step)
-                    vb_hat = v_b[layer] / (1 - beta2**step)
-                    self.weights_[layer] -= self.lr * mw_hat / (np.sqrt(vw_hat) + eps)
-                    self.biases_[layer] -= self.lr * mb_hat / (np.sqrt(vb_hat) + eps)
+                m *= beta1
+                np.multiply(grads, 1 - beta1, out=s1)
+                m += s1
+                v *= beta2
+                np.square(grads, out=s1)
+                s1 *= 1 - beta2
+                v += s1
+                np.divide(m, 1 - beta1**step, out=s1)
+                np.divide(v, 1 - beta2**step, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += eps
+                s1 *= self.lr
+                s1 /= s2
+                params -= s1
             self.loss_curve_.append(epoch_loss / n)
+        # Independent arrays: callers replace and edit layers after a fit.
+        self.weights_ = [W.copy() for W in weights]
+        self.biases_ = [b.copy() for b in biases]
 
     @staticmethod
     def _prep_X(X):
@@ -137,8 +178,7 @@ class MLPClassifier(_MLPBase):
         X = self._prep_X(X)
         y = np.asarray(y)
         self.classes_ = np.unique(y)
-        idx = {c: i for i, c in enumerate(self.classes_)}
-        labels = np.array([idx[v] for v in y])
+        labels = np.searchsorted(self.classes_, y)
         T = one_hot(labels, n_classes=len(self.classes_))
         self._fit_loop(X, T)
         return self

@@ -404,6 +404,29 @@ class TestInstrumentedLayers:
         (sta_span,) = obs.span_tree()["children"]
         assert sta_span["name"] == "circuit.sta.run"
 
+    def test_fig3_ml_characterization_spans(self):
+        from repro.circuit import (
+            SpiceLikeCharacterizer,
+            build_default_library,
+            guardband_comparison,
+            synthesize_core,
+        )
+
+        library = build_default_library()
+        SpiceLikeCharacterizer().characterize_library(library)
+        netlist = synthesize_core(library, n_instances=40, seed=0)
+        obs.enable()
+        guardband_comparison(netlist, build_default_library, ml_training_samples=100)
+        top = {node["name"]: node for node in obs.span_tree()["children"]}
+        assert {"circuit.ml_char.label", "circuit.ml_char.validate",
+                "circuit.ml_char.generate"} <= set(top)
+        for name in ("circuit.ml_char.validate", "circuit.ml_char.generate"):
+            assert top[name]["count"] == 1
+        (fit,) = [node for node in top["circuit.ml_char.label"]["children"]
+                  if node["name"] == "ml.mlp.fit"]
+        assert fit["count"] == 1
+        assert fit["attrs"] == {"rows": 100}
+
     def test_aging_eval_counters(self):
         from repro.transistor.aging import hci_delta_vth, nbti_delta_vth
 
