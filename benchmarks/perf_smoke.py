@@ -22,7 +22,7 @@ Three bench groups, each with its own trajectory record:
   ``--max-sched-overhead-us`` the bookkeeping budget; this group is
   *not* gated by ``--min-speedup`` (the fabric pipelines waiting, it
   does not vectorize math — see ``docs/distributed.md``).
-* **steer** (``BENCH_steer.json``) — runs the surrogate-steered and
+* **steer** (``BENCH_steer.json``) — runs the steered and the
   uniform sequential campaigns to the same AVF confidence half-width
   and records the trial-count ratio as the group's ``speedup``
   (``docs/steering.md``).  ``--min-trials-saved`` gates the ratio in
@@ -406,7 +406,7 @@ def bench_sched_overhead(n_units, rounds):
 
 
 def bench_steered_campaign(budget, rounds):
-    """Surrogate-steered vs uniform sequential campaign at one CI target.
+    """Steered vs uniform sequential campaign at one CI target.
 
     Both campaigns run the same round-sealed sequential machinery
     (``docs/steering.md``) to the same ±``STEER_TARGET_CI`` AVF
@@ -465,7 +465,6 @@ def bench_steered_campaign(budget, rounds):
         "reference_lo": ref_lo,
         "reference_hi": ref_hi,
         "rounds_sealed": steered.steering["rounds"],
-        "refits": steered.steering["refits"],
         "program": program.name,
         "golden_cycles": injector.golden_cycles,
         "hang_budget_factor": FI_HANG_BUDGET_FACTOR,

@@ -20,7 +20,7 @@ executable form of the determinism contract in ``docs/campaigns.md``
 ("Fault tolerance & resume"); the ``chaos-resume`` CI job runs it
 serially and with ``--jobs 4`` (four forked tcp workers) on every
 push.  With ``--steer`` the
-same three legs run the surrogate-steered adaptive campaign
+same three legs run the steered adaptive campaign
 (``docs/steering.md``) — the resumed run must additionally reproduce
 the reference's steering summary (rounds, trajectory, estimate).
 
@@ -171,7 +171,7 @@ def main(argv=None):
     parser.add_argument("--record", default=None, metavar="DIR",
                         help="write reference/resumed run records under DIR")
     parser.add_argument("--steer", action="store_true",
-                        help="run the surrogate-steered campaign instead of "
+                        help="run the steered adaptive campaign instead of "
                              "the uniform one (--trials becomes the budget; "
                              "docs/steering.md)")
     args = parser.parse_args(argv)

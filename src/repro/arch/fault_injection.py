@@ -542,8 +542,8 @@ class FaultInjector:
                              transport=None, transport_options=None):
         """Adaptively steered campaign with sequential early stopping.
 
-        Trials are allocated by stratified importance sampling from an
-        online surrogate and the campaign stops once the AVF confidence
+        Trials are allocated by stratified sampling steered by the
+        observed failure rates and the campaign stops once the AVF confidence
         half-width reaches the steering config's target — see
         :mod:`repro.arch.steering` and ``docs/steering.md``.  Accepts
         the same runtime knobs as :meth:`run_campaign`; ``budget`` caps

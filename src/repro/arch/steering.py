@@ -1,4 +1,4 @@
-"""Surrogate-steered adaptive FI campaigns with sequential early stopping.
+"""Steered adaptive FI campaigns with sequential early stopping.
 
 Uniform campaigns (:meth:`FaultInjector.run_campaign`) spend most of
 their budget on coordinates whose outcome is already predictable — dead
@@ -24,16 +24,14 @@ campaign scheduler:
 * Trials are generated in **rounds**.  Round 0 covers every stratum
   proportionally with half of ``round_trials``; every later round
   (round 1 is the other half) allocates by a Neyman rule
-  ``n_s ~ q_s * sqrt(p~_s (1 - p~_s))`` where ``p~_s`` blends the
-  observed stratum rate with a surrogate model
-  (:class:`repro.ml.GradientBoostingClassifier`, refit at every round
-  boundary on :func:`repro.arch.vulnerability.element_features` +
-  cycle-phase features), mixed with an ``explore`` floor of the
-  uniform measure.  So every steered round but round 0 follows one
-  refit, and a campaign's cost grows with its rounds.
+  ``n_s ~ q_s * sqrt(p~_s (1 - p~_s))`` where ``p~_s`` is the observed
+  stratum rate shrunk toward the campaign's global rate by
+  :data:`PRIOR_STRENGTH` pseudo-trials, mixed with an ``explore`` floor
+  of the uniform measure.  Allocation costs a few arithmetic operations
+  per stratum, so a campaign's cost is its trials.
 * After every sealed round from round 1 on, the CI half-width of the
   estimate (from the observed, Jeffreys-smoothed stratum rates — the
-  surrogate steers allocation only) is checked against ``target_ci``;
+  shrunk rates steer allocation only) is checked against ``target_ci``;
   the campaign **stops early** once the target is met, and the unspent
   budget is reported as ``trials_saved``.
 
@@ -81,16 +79,19 @@ STEER_STREAM_DOC = (
 
 #: Run-level cache-key tag of the coordinate generator.  Bumped whenever
 #: the same seed and config would generate different coordinates (here:
-#: live-cycle pools, and the first round split into a covering and a
-#: steered half), so a cache or journal written by an older generator
-#: never replays its units under the same unit keys.
-STEER_KEY_GENERATION = "live-pools-split-bootstrap"
+#: allocation by shrunk empirical rates only, with no fitted model), so
+#: a cache or journal written by an older generator never replays its
+#: units under the same unit keys.
+STEER_KEY_GENERATION = "empirical-allocation"
+
+#: Pseudo-trials at the global failure rate that each stratum's observed
+#: rate is shrunk toward before Neyman allocation.
+PRIOR_STRENGTH = 4.0
 
 #: Outcomes that count as failures for AVF (matches
 #: :meth:`CampaignResult.failure_rate`).
 _FAILURE_OUTCOMES = (Outcome.SDC, Outcome.CRASH, Outcome.HANG)
 
-SURROGATES = ("gbdt", "none")
 MODES = ("steered", "uniform")
 
 
@@ -109,8 +110,6 @@ class SteeringConfig:
     chunk_size: int = 32  #: trials per scheduler unit
     phase_bins: int = 4  #: cycle-phase strata per element
     explore: float = 0.05  #: floor share allocated by the uniform measure
-    surrogate: str = "gbdt"  #: "gbdt" or "none" (empirical only)
-    prior_strength: float = 4.0  #: pseudo-trials the surrogate contributes
     early_stop: bool = True
 
     mode: str = "steered"
@@ -129,10 +128,6 @@ class SteeringConfig:
             raise ValueError("phase_bins must be positive")
         if not 0.0 <= self.explore <= 1.0:
             raise ValueError("explore must be in [0, 1]")
-        if self.surrogate not in SURROGATES:
-            raise ValueError(f"surrogate must be one of {SURROGATES}")
-        if self.prior_strength < 0:
-            raise ValueError("prior_strength must be non-negative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -204,7 +199,7 @@ class SteeredUnitSource:
     """
 
     def __init__(self, *, seed, budget, elements, golden_cycles,
-                 config=None, features=None, live_cycles=None):
+                 config=None, live_cycles=None):
         self.config = config or SteeringConfig()
         self.config.validate()
         cfg = self.config
@@ -218,16 +213,6 @@ class SteeredUnitSource:
             raise ValueError("elements must be non-empty")
         if self.golden_cycles < 1:
             raise ValueError("golden_cycles must be positive")
-        if cfg.surrogate != "none" and cfg.mode == "steered":
-            if features is None:
-                raise ValueError(
-                    "a surrogate needs per-element feature rows; pass "
-                    "features aligned with elements or surrogate='none'"
-                )
-            features = np.asarray(features, dtype=float)
-            if features.shape[0] != len(self.elements):
-                raise ValueError("features must align with elements")
-        self.features = features
 
         # Strata: element x cycle-phase, in fixed (element, phase) order.
         # Steered runs keep only each stratum's live cycles (the pool
@@ -278,7 +263,6 @@ class SteeredUnitSource:
         # Adaptive state.
         self._chunks = []  # CoordChunk per generated unit, unit order
         self._committed = []  # per generated unit
-        self._unit_tallies = {}  # unit -> list of (stratum, failed)
         self._next_commit = 0  # sealed prefix pointer
         self._rounds_generated = 0
         self._rounds_sealed = 0
@@ -286,8 +270,6 @@ class SteeredUnitSource:
         self._f_s = [0] * len(self._strata)
         self._trials_committed = 0
         self._failures_committed = 0
-        self._p_model = None  # per-stratum surrogate probabilities
-        self.refits = 0
         self.stopped = False
         self.stop_reason = None
         self.trajectory = []  # one dict per sealed round
@@ -308,8 +290,8 @@ class SteeredUnitSource:
         if cfg.mode == "steered":
             # The first round_trials split in two: the bootstrap round
             # must reach every stratum at least once or the
-            # post-stratified estimator is undefined; the surrogate,
-            # fitted on it, steers the other half.
+            # post-stratified estimator is undefined; its rates steer
+            # the other half.
             half = max(cfg.round_trials // 2, 1)
             first = max(half, len(self._strata))
             if self.budget < first:
@@ -363,16 +345,13 @@ class SteeredUnitSource:
         if self._committed[i]:
             return
         self._committed[i] = True
-        tallies = []
         for record in records:
             s = self._locate(record.cycle, record.element)
             failed = record.outcome in _FAILURE_OUTCOMES
-            tallies.append((s, failed))
             self._n_s[s] += 1
             self._f_s[s] += failed
             self._trials_committed += 1
             self._failures_committed += failed
-        self._unit_tallies[i] = tallies
         while (self._next_commit < len(self._chunks)
                and self._committed[self._next_commit]):
             self._next_commit += 1
@@ -421,8 +400,6 @@ class SteeredUnitSource:
         if self._rounds_generated >= len(self._round_sizes):
             self._stop("budget", estimate, halfwidth)
             return
-        if cfg.mode == "steered" and cfg.surrogate != "none":
-            self._refit(r)
         self._generate_round()
 
     def _stop(self, reason, estimate, halfwidth):
@@ -436,7 +413,7 @@ class SteeredUnitSource:
             "steer.stop", reason=reason,
             trials_executed=self._trials_committed, budget=self.budget,
             trials_saved=saved, estimate=estimate, halfwidth=halfwidth,
-            rounds=self._rounds_sealed, refits=self.refits,
+            rounds=self._rounds_sealed,
         )
 
     # -- estimation ------------------------------------------------------
@@ -455,7 +432,7 @@ class SteeredUnitSource:
         # Dead coordinates are an exact-zero stratum of mass
         # 1 - live_mass: the estimate and its width are the live
         # strata's, on their renormalised weights, scaled by live_mass.
-        # The width uses observed (Jeffreys) rates, never the surrogate.
+        # The width uses observed (Jeffreys) rates, never the shrunk ones.
         if not self._strata:
             return 0.0, 0.0
         estimate, halfwidth = stratified_estimate(
@@ -463,80 +440,15 @@ class SteeredUnitSource:
         )
         return self.live_mass * estimate, self.live_mass * halfwidth
 
-    def _global_rate(self):
+    def _blended(self):
+        """Per-stratum ``p~_s``: observed rate shrunk toward the global rate."""
         # Laplace-smoothed so an all-masked or all-failed prefix keeps a
         # usable prior.
-        return (self._failures_committed + 1.0) / (self._trials_committed + 2.0)
-
-    def _blended(self):
-        """Per-stratum ``p~_s``: observed rate shrunk toward the prior."""
-        cfg = self.config
-        prior = self._p_model
-        fallback = self._global_rate()
-        out = []
-        for s in range(len(self._strata)):
-            p_prior = fallback if prior is None else float(prior[s])
-            out.append(
-                (self._f_s[s] + cfg.prior_strength * p_prior)
-                / (self._n_s[s] + cfg.prior_strength)
-            )
-        return out
-
-    # -- surrogate -------------------------------------------------------
-    def _refit(self, sealed_round):
-        cfg = self.config
-        X, y = self._training_set()
-        if len(X) > 2048:
-            # Cap the fit cost: evenly spaced row selection is
-            # deterministic and keeps every round represented.
-            keep = np.linspace(0, len(X) - 1, 2048).astype(int)
-            X, y = X[keep], y[keep]
-        if len(np.unique(y)) < 2:
-            # Single-class history: the constant rate is the best model.
-            self._p_model = np.full(len(self._strata), float(y[0]) if len(y) else 0.5)
-            return
-        from repro.ml import GradientBoostingClassifier, StandardScaler
-
-        scaler = StandardScaler().fit(X)
-        model = GradientBoostingClassifier(n_estimators=30, max_depth=3, seed=0)
-        model.fit(scaler.transform(X), y)
-        proba = model.predict_proba(scaler.transform(self._stratum_rows()))
-        fail_col = int(np.argmax(model.classes_ == 1))
-        self._p_model = proba[:, fail_col]
-        self.refits += 1
-        obs.inc("arch.fi.steering.refits")
-        obs.emit(
-            "steer.refit", round=sealed_round, samples=len(X),
-            surrogate=cfg.surrogate,
-        )
-
-    def _row(self, element_index, cycle_frac):
-        return list(self.features[element_index]) + [cycle_frac]
-
-    def _training_set(self):
-        """Committed trials as (features, fail) rows, in unit order.
-
-        Built from stored per-unit tallies in *unit* order — never
-        arrival order — so the fitted model (hence the next allocation)
-        is identical no matter how the transport interleaved commits.
-        """
-        X, y = [], []
-        for i in range(self._next_commit):
-            chunk = self._chunks[i]
-            for (cycle, element, _bit), (s, failed) in zip(
-                chunk.coords, self._unit_tallies[i]
-            ):
-                e, _ = self._strata[s]
-                X.append(self._row(e, (cycle + 0.5) / self.golden_cycles))
-                y.append(int(failed))
-        return np.asarray(X, dtype=float), np.asarray(y, dtype=int)
-
-    def _stratum_rows(self):
-        rows = []
-        for (e, b) in self._strata:
-            center = 0.5 * (self._phase_bounds[b] + self._phase_bounds[b + 1])
-            rows.append(self._row(e, center / self.golden_cycles))
-        return np.asarray(rows, dtype=float)
+        prior = (self._failures_committed + 1.0) / (self._trials_committed + 2.0)
+        return [
+            (f + PRIOR_STRENGTH * prior) / (n + PRIOR_STRENGTH)
+            for f, n in zip(self._f_s, self._n_s)
+        ]
 
     # -- generation ------------------------------------------------------
     def _round_rng(self, r):
@@ -550,18 +462,16 @@ class SteeredUnitSource:
         cfg = self.config
         if r == 0:
             return _largest_remainder(self._q, size, minimum=1)
+        # Every p~_s lies strictly inside (0, 1), so every score is > 0.
         scores = [
             q * math.sqrt(p * (1.0 - p))
             for q, p in zip(self._q, self._blended())
         ]
         total = sum(scores)
-        if total <= 0.0:
-            shares = list(self._q)
-        else:
-            shares = [
-                (1.0 - cfg.explore) * s / total + cfg.explore * q
-                for s, q in zip(scores, self._q)
-            ]
+        shares = [
+            (1.0 - cfg.explore) * s / total + cfg.explore * q
+            for s, q in zip(scores, self._q)
+        ]
         return _largest_remainder(shares, size)
 
     def _generate_round(self):
@@ -608,7 +518,6 @@ class SteeredUnitSource:
         )
         return {
             "mode": cfg.mode,
-            "surrogate": cfg.surrogate if cfg.mode == "steered" else None,
             "target_ci": cfg.target_ci,
             "confidence": cfg.confidence,
             "early_stop": cfg.early_stop,
@@ -618,7 +527,7 @@ class SteeredUnitSource:
             "avf_estimate": estimate,
             "ci_halfwidth": halfwidth,
             "rounds": self._rounds_sealed,
-            "refits": self.refits,
+            "refits": 0,  # no model is fitted; kept for record readers
             "stopped_early": self.stop_reason in ("target", "exact"),
             "stop_reason": self.stop_reason,
             "strata": len(self._strata),
@@ -671,20 +580,14 @@ def run_steered_campaign(injector, budget=4096, seed=0, elements=None,
 
     config = config or SteeringConfig()
     config.validate()
-    elements = list(elements or CPU(injector.program).state_elements())
-    features = None
-    if config.mode == "steered" and config.surrogate != "none":
-        from repro.arch.vulnerability import element_features
-        all_elements, all_rows = element_features(injector.program)
-        index = {name: i for i, name in enumerate(all_elements)}
-        try:
-            features = all_rows[[index[e] for e in elements]]
-        except KeyError as exc:
-            raise ValueError(f"unknown element {exc.args[0]!r}") from None
+    known = CPU(injector.program).state_elements()
+    elements = list(elements or known)
+    unknown = sorted(set(elements) - set(known))
+    if unknown:
+        raise ValueError(f"unknown element {unknown[0]!r}")
     source = SteeredUnitSource(
         seed=seed, budget=budget, elements=elements,
         golden_cycles=injector.golden_cycles, config=config,
-        features=features,
         live_cycles=[injector.live_cycles(e) for e in elements],
     )
     worker = functools.partial(_steered_chunk, injector)

@@ -11,6 +11,7 @@ Usage::
     python -m repro report runs/<id>         # render a recorded run
     python -m repro report runs --list       # one summary line per run
     python -m repro report --diff A B        # compare two run records
+    python -m repro report runs --check      # self-check every run record
     python -m repro report runs/<id> --trace-out t.json --prom-out m.prom
     python -m repro watch runs/<id>          # live view of a running campaign
     python -m repro worker --connect HOST:PORT   # external campaign worker
@@ -192,7 +193,7 @@ def run_fi(args):
             f"{int(steering['confidence'] * 100)}% confidence), "
             f"{steering['trials_executed']}/{steering['budget']} trials "
             f"({steering['trials_saved']} saved), "
-            f"{steering['rounds']} rounds, {steering['refits']} refits, "
+            f"{steering['rounds']} rounds, "
             f"stopped on {steering['stop_reason']}"
         )
     stats = injector.engine_stats()
@@ -514,8 +515,8 @@ def build_parser():
     )
     steering.add_argument(
         "--steer", action="store_true",
-        help="adaptively allocate fi trials by surrogate-guided stratified "
-             "importance sampling and stop early at --target-ci; --trials "
+        help="steer fi trials toward the strata whose observed failure "
+             "rates are least certain and stop early at --target-ci; --trials "
              "becomes the trial budget and unspent trials are reported as "
              "trials_saved (estimates stay unbiased for the uniform AVF)",
     )
@@ -554,6 +555,11 @@ def build_report_parser():
         help="compare two run records: outcome-histogram deltas with a "
              "chi-square homogeneity flag, per-layer time deltas, counter "
              "deltas, and the config diff",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="check every run record under PATH against its event stream "
+             "and counters instead of rendering it; exits 1 on any problem",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="FILE",
@@ -605,6 +611,8 @@ def run_report(argv):
                 ],
             )
             return 0
+        if args.check:
+            return _check_records(args.paths)
         if args.diff:
             if len(args.paths) != 2:
                 print("--diff takes exactly two run records (A B)",
@@ -627,6 +635,22 @@ def run_report(argv):
     return 0
 
 
+def _check_records(paths):
+    """``report --check``: verify every run under ``paths``; 1 on a problem."""
+    from repro.obs import list_runs, verify_record
+
+    status = 0
+    for path in paths:
+        for run in list_runs(path):
+            problems = verify_record(run["path"])
+            print(f"{'FAIL' if problems else 'ok'} {run['path']}")
+            for problem in problems:
+                print(f"  {problem}")
+            if problems:
+                status = 1
+    return status
+
+
 def _export_record(record, args):
     """Write the --trace-out / --prom-out artifacts for a loaded record."""
     from pathlib import Path
@@ -634,6 +658,8 @@ def _export_record(record, args):
     from repro.obs import EVENTS_FILENAME, read_events
     from repro.obs.export import write_chrome_trace, write_prometheus_text
 
+    for out in filter(None, (args.trace_out, args.prom_out)):
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
     if args.trace_out:
         events_path = Path(record["path"]).parent / EVENTS_FILENAME
         events = read_events(events_path) if events_path.is_file() else []

@@ -211,6 +211,7 @@ from repro.obs.record import (  # noqa: E402  (needs the state above)
     list_runs,
     load_run_record,
     resolve_record_path,
+    verify_record,
 )
 from repro.obs.report import layer_breakdown, render_report  # noqa: E402
 from repro.obs.diff import diff_records, render_diff  # noqa: E402
@@ -232,6 +233,7 @@ __all__ = [
     "iter_events",
     "read_events",
     "trial_rows",
+    "verify_record",
     "chrome_trace",
     "prometheus_text",
     "diff_records",

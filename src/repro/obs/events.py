@@ -7,8 +7,8 @@ of a run: one JSON object per noteworthy occurrence, appended to
 observable **while it runs** (``python -m repro watch <run-dir>`` tails
 it) and what later analysis trains on — a fault-injection campaign
 streams one row per trial with its ``(cycle, element, bit)`` coordinate
-and outcome classification, exactly the supervision a learned
-injection-steering surrogate needs.
+and outcome classification, the supervision a learned vulnerability
+model trains on.
 
 Event grammar
 -------------

@@ -18,7 +18,8 @@ parses line by line:
 
 :class:`RunRecorder` is the writer (and the switch: entering it enables
 collection); :func:`load_run_record` is the reader the ``repro report``
-CLI uses.
+CLI uses, and :func:`verify_record` checks a record against its own
+event stream and counters (``repro report PATH --check``).
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ import json
 import os
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import repro.obs as obs
-from repro.obs.events import EVENTS_FILENAME, EVENTS_SCHEMA
+from repro.obs.events import EVENTS_FILENAME, EVENTS_SCHEMA, read_events, trial_rows
+from repro.obs.report import layer_breakdown
 
 #: Bump when a record line's fields change incompatibly.
 RUN_RECORD_SCHEMA = 1
@@ -251,3 +254,68 @@ def list_runs(base_dir):
             "path": str(path),
         })
     return summaries
+
+
+def verify_record(run_dir):
+    """Problems found cross-checking one run record; ``[]`` if consistent.
+
+    Every run needs the current schema, status ``ok``, no dropped events
+    and non-empty span and metric lines.  An ``fi`` run must also span
+    >= 3 layers, have one ``fi.trials`` row per histogram entry and hold
+    its configured (steered: executed) trial count.  A steered run's
+    ``steer.*`` events and ``arch.fi.steering.*`` counters must match its
+    resolved summary, with no refit.
+    """
+    record = load_run_record(run_dir)
+    meta = record.get("meta", {})
+    config = meta.get("config", {})
+    fi = config.get("experiment") == "fi"
+    facts = [
+        (meta.get("schema"), RUN_RECORD_SCHEMA, "schema"),
+        (meta.get("status"), "ok", "status"),
+        (meta.get("events_dropped"), 0, "events dropped"),
+    ]
+    lines = ("spans", "metrics") + (("campaigns", "outcomes") if fi else ())
+    missing = [line for line in lines if not record.get(line)]
+    facts.append((missing, [], "missing or empty record lines"))
+    if fi and not missing:
+        path = Path(record["path"]).parent / meta.get("events_file", EVENTS_FILENAME)
+        events = read_events(path) if path.is_file() else []
+        rows = Counter(row[3] for row in trial_rows(events))
+        histogram = record["outcomes"]["histogram"]
+        steering = config.get("resolved", {}).get("steering") or {}
+        facts += [
+            (len(layer_breakdown(record["spans"]["root"])) >= 3, True,
+             "span tree covers >= 3 layers"),
+            (dict(rows), {k: v for k, v in histogram.items() if v},
+             "fi.trials rows vs outcome histogram"),
+            (sum(histogram.values()),
+             steering.get("trials_executed", config.get("trials")),
+             "histogram trials vs configured (steered: executed) trials"),
+            (bool(steering), bool(config.get("steer")), "resolved steering"),
+        ]
+        if steering:
+            facts += _steering_facts(steering, events, record["metrics"],
+                                     config.get("trials"))
+    return [f"{what}: {got!r} != {want!r}" for got, want, what in facts
+            if got != want]
+
+
+def _steering_facts(steering, events, metrics, budget):
+    kinds = Counter(event.get("ev") for event in events)
+    stop = next((e for e in events if e.get("ev") == "steer.stop"), {})
+    counters = metrics.get("counters", {})
+    executed, saved = steering["trials_executed"], steering["trials_saved"]
+    return [
+        (executed + saved, budget, "trials executed + saved vs budget"),
+        (kinds["steer.round"], steering["rounds"], "steer.round events vs rounds"),
+        (counters.get("arch.fi.steering.rounds", 0), steering["rounds"],
+         "arch.fi.steering.rounds counter vs rounds"),
+        (counters.get("arch.fi.steering.trials_saved"), saved,
+         "arch.fi.steering.trials_saved counter vs trials_saved"),
+        (kinds["steer.stop"], 1, "steer.stop events"),
+        (stop.get("trials_saved"), saved, "steer.stop trials_saved"),
+        (stop.get("trials_executed"), executed, "steer.stop trials_executed"),
+        (kinds["steer.refit"], 0, "steer.refit events"),
+        (steering.get("refits"), 0, "refits"),
+    ]

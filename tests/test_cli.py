@@ -420,6 +420,17 @@ class TestReportAndWatchCLI:
         assert "repro_run_info" in text
         assert "_total" in text
 
+    def test_report_exports_create_missing_directories(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # CI exports into a fresh ``exports/`` directory.
+        runs = self._record_runs(tmp_path, monkeypatch, capsys)
+        trace = tmp_path / "exports" / "trace.json"
+        prom = tmp_path / "exports" / "prom" / "metrics.prom"
+        assert main(["report", str(runs), "--trace-out", str(trace),
+                     "--prom-out", str(prom)]) == 0
+        capsys.readouterr()
+        assert trace.is_file() and prom.is_file()
+
     def test_watch_once_summarizes_finished_run(self, capsys, tmp_path,
                                                 monkeypatch):
         runs = self._record_runs(tmp_path, monkeypatch, capsys)

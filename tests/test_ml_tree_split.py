@@ -145,7 +145,7 @@ def test_classifier_matches_masked_search(problem):
 
 
 def test_gbdt_residual_fits_match_masked_search():
-    # The steering surrogate's regime: boosted-residual regression trees
+    # Gradient boosting's regime: boosted-residual regression trees
     # on a few thousand rows with many tied scores.
     rng = np.random.default_rng(7)
     X = np.column_stack([

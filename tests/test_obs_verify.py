@@ -1,0 +1,91 @@
+"""Run-record self-check (``repro.obs.verify_record``, ``report --check``).
+
+A recorded campaign states its outcomes three ways — the record's
+histogram and resolved config, the ``events.jsonl`` stream, and the
+metric counters.  These tests record a tiny uniform and a tiny steered
+``fi`` run through the CLI, check that both verify clean, and check that
+tampering with one copy of the facts is flagged.
+"""
+
+import json
+import shutil
+
+import pytest
+
+from repro.cli import main
+from repro.obs import EVENTS_FILENAME, verify_record
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    base = tmp_path_factory.mktemp("records")
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(base / "cache"))
+        for name, extra in (
+            ("uniform", ["--trials", "64", "--jobs", "2"]),
+            ("steered", ["--trials", "2048", "--steer", "--target-ci", "0.01"]),
+        ):
+            assert main(["fi", *extra, "--no-cache",
+                         "--record", str(base / name)]) == 0
+            (runs[name],) = (base / name).iterdir()
+    return runs
+
+
+def _tampered(run_dir, tmp_path, edit):
+    """Copy ``run_dir`` and rewrite its event stream with ``edit``."""
+    copy = tmp_path / run_dir.name
+    shutil.copytree(run_dir, copy)
+    path = copy / EVENTS_FILENAME
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(e) + "\n" for e in edit(events)))
+    return copy
+
+
+def _drop_one_trial_row(events):
+    frame = next(e for e in events if e["ev"] == "fi.trials")
+    frame["items"] = frame["items"][1:]
+    return events
+
+
+@pytest.mark.parametrize("name", ["uniform", "steered"])
+def test_recorded_runs_verify_clean(recorded, name):
+    assert verify_record(recorded[name]) == []
+
+
+@pytest.mark.parametrize("name", ["uniform", "steered"])
+def test_missing_trial_row_is_flagged(recorded, tmp_path, name):
+    problems = verify_record(
+        _tampered(recorded[name], tmp_path, _drop_one_trial_row))
+    assert any("fi.trials rows" in p for p in problems), problems
+
+
+def test_refit_event_is_flagged(recorded, tmp_path):
+    def add_refit(events):
+        return events + [{"ev": "steer.refit", "round": 0}]
+
+    problems = verify_record(
+        _tampered(recorded["steered"], tmp_path, add_refit))
+    assert problems == ["steer.refit events: 1 != 0"]
+
+
+def test_steer_events_must_match_the_summary(recorded, tmp_path):
+    def drop_a_round(events):
+        i = next(i for i, e in enumerate(events) if e["ev"] == "steer.round")
+        return events[:i] + events[i + 1:]
+
+    problems = verify_record(
+        _tampered(recorded["steered"], tmp_path, drop_a_round))
+    assert len(problems) == 1 and problems[0].startswith(
+        "steer.round events vs rounds"), problems
+
+
+def test_report_check_exit_codes(recorded, tmp_path, capsys):
+    assert main(["report", str(recorded["uniform"].parent),
+                 str(recorded["steered"].parent), "--check"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("ok ") == 2 and "FAIL" not in out
+    bad = _tampered(recorded["uniform"], tmp_path, _drop_one_trial_row)
+    assert main(["report", str(bad), "--check"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL ") and "fi.trials rows" in out

@@ -1,4 +1,4 @@
-"""Surrogate-steered adaptive campaigns (docs/steering.md).
+"""Steered adaptive campaigns (docs/steering.md).
 
 Covers the scheduler's adaptive seams (``on_result`` / ``available`` /
 ``exhausted``), the static unit layout of :class:`SteeredUnitSource`,
@@ -54,8 +54,8 @@ def steered(injector):
 
 @pytest.fixture(scope="module")
 def tight(injector):
-    # At the default ±0.02 checksum stops at its first check, after one
-    # refit; ±0.01 runs a round longer, so two refits shape allocation.
+    # At the default ±0.02 checksum stops at its first check; ±0.01 runs
+    # two rounds longer, so steered allocation shapes the stop point.
     return injector.run_steered_campaign(
         budget=2048, seed=3, config=SteeringConfig(target_ci=0.01)
     )
@@ -66,6 +66,111 @@ def uniform(injector):
     return injector.run_steered_campaign(
         budget=2048, seed=3, config=SteeringConfig(mode="uniform")
     )
+
+
+#: ``(records digest, avf_estimate, ci_halfwidth)`` of
+#: ``run_steered_campaign(budget=8192, seed=s)`` per ``"program/seed"``,
+#: captured from the generator that still offered a GBDT surrogate, run
+#: with its empirical allocation (``surrogate="none"``).  The default
+#: config must reproduce them bit for bit.
+EMPIRICAL_CAMPAIGNS = {
+    "vector_add/1": (
+        "5a3c7056de727b7eae05199b5f13a841d577a3f63c33cd8212dcdb6d09e1635e",
+        0.2160018700966976, 0.01618236642356923,
+    ),
+    "vector_add/2": (
+        "4d080e322cfc352923b61bd3aec39107203aff7f1083f96adbbf2220e3d836db",
+        0.21900276713495104, 0.016259111418553785,
+    ),
+    "vector_add/3": (
+        "bfc1f7feaeab34b9e53bb346f25974b71fbec1a4d2a7d6ab3fa9ea97dd5e762d",
+        0.21888303533418474, 0.015924633344028827,
+    ),
+    "dot_product/1": (
+        "e5765bbc1bcb1178ffc1bccbb8bad8508906dc2afca6d58d9914d66d1f18a073",
+        0.2682136131288674, 0.01893693646361491,
+    ),
+    "dot_product/2": (
+        "b58a0351b8c018db96352116090d0b455d10a5865fd097b432755903e1ed3048",
+        0.28474352076046994, 0.017184137186177697,
+    ),
+    "dot_product/3": (
+        "be844c01a48e6a05dbac85e12941385a2c663f1962d19f416a825d6921f82a2a",
+        0.2643933279526501, 0.01884988101489657,
+    ),
+    "matmul/1": (
+        "72d0c84ab9b2ff62ddcd63f5d2df4e36eba7a42164629f59d39401a565c0e669",
+        0.382227023033598, 0.015498320233427043,
+    ),
+    "matmul/2": (
+        "1c83990e111ad9c483d1310bb6ee4ac337308da2a46b07c0a288dd7082128bd3",
+        0.3875855816796183, 0.015735828485410358,
+    ),
+    "matmul/3": (
+        "daa3b9dc8289da96972703225f28d614bee770b7fdbcf098d550082d94570584",
+        0.38394434736177857, 0.015138127982774438,
+    ),
+    "bubble_sort/1": (
+        "69f2c5cdace3aa73626d5ec4835bfe8709175548da57d38ee80e6b4306033543",
+        0.3010791544773785, 0.014788712755057373,
+    ),
+    "bubble_sort/2": (
+        "b57ff1a66ce8b66a27996f1a6523eb1ac36648cf137e2eb7e5cc5145a81e5afd",
+        0.2933051661706032, 0.014594336483357284,
+    ),
+    "bubble_sort/3": (
+        "4480af53902f6b37aca593c281b6b61bdfa79c168aed532e82634b4a3a42ba71",
+        0.2949801170714194, 0.01400857881356105,
+    ),
+    "fibonacci/1": (
+        "9debd9c223d9ce7d675d9348337e1a48833c3b964cd233b49d834cdefbef48af",
+        0.2971805138471804, 0.018631463027811497,
+    ),
+    "fibonacci/2": (
+        "a688dcff47d0a98aa5dd4482d051fcb141f99e91948431b622289682696be424",
+        0.28004671338004666, 0.019248744076001464,
+    ),
+    "fibonacci/3": (
+        "482dc92e71e972f08ba682846e3f1d29d35db347b88aaf052d4a12f1544fc2c2",
+        0.2885135135135134, 0.01884456091264797,
+    ),
+    "checksum/1": (
+        "7e4e54b371f473613eaba5f4d5f5cb65e920fc50fde0e51a1fb0608d529a8c92",
+        0.245527840765936, 0.01717798039182239,
+    ),
+    "checksum/2": (
+        "762e47e2d9e03955db624feec17b53597a10bcd2925c707a07a7a9fa4e6f972d",
+        0.26147434282354914, 0.016029570688330032,
+    ),
+    "checksum/3": (
+        "07a9cfa2bbca5c5f41296d376f47e6275b606e9a7a5ae52381a525521720960e",
+        0.25107079868984633, 0.01634689873269463,
+    ),
+    "fir_filter/1": (
+        "b9ed73c093c319cab1f967c4675b1a9600828a2d8970a2b72720eddde55e23a3",
+        0.37455270735585117, 0.015420930748612973,
+    ),
+    "fir_filter/2": (
+        "2878fcf8f7b875dab4bee610953cd2b15c109a4bbe77db61d3776114fb322207",
+        0.37053258802260813, 0.016692348045485167,
+    ),
+    "fir_filter/3": (
+        "9ad3dec32e517f9530e6a561c227539e5363d6758b013751cc92097d28bfaa24",
+        0.3711826079590552, 0.01591765749512962,
+    ),
+    "binary_search/1": (
+        "13ee2b035868124e1e4889c9366ad83725e613e05bed35bdfb3f3ea738c38bd0",
+        0.1823979591836734, 0.015389416096637677,
+    ),
+    "binary_search/2": (
+        "2371e64abda1e79b71c9df0ff2f6bb1c9f90fc8297682a79a4d0a1b86fdef735",
+        0.19545225497606447, 0.014838592341722974,
+    ),
+    "binary_search/3": (
+        "cc81664803653a50dc5d99baaf6d513c485f6fa21277f23cb69f3fdfbb4a8be9",
+        0.1928162005542958, 0.014520553678689832,
+    ),
+}
 
 
 def _double_chunk(chunk):
@@ -157,7 +262,7 @@ class TestSchedulerSeams:
 
 
 class TestSteeredUnitSource:
-    CFG = dict(surrogate="none", round_trials=128, chunk_size=32)
+    CFG = dict(round_trials=128, chunk_size=32)
 
     def _source(self, seed=0, budget=320, **overrides):
         cfg = SteeringConfig(**{**self.CFG, **overrides})
@@ -193,21 +298,12 @@ class TestSteeredUnitSource:
         with pytest.raises(ValueError, match="bootstrap"):
             self._source(budget=4)
 
-    def test_steered_surrogate_requires_features(self):
-        with pytest.raises(ValueError, match="feature"):
-            SteeredUnitSource(
-                seed=0, budget=320, elements=["a"], golden_cycles=10,
-                config=SteeringConfig(),
-            )
-
     def test_config_validation(self):
         for bad in (
             dict(target_ci=0.0), dict(target_ci=0.6),
             dict(confidence=1.0), dict(round_trials=0),
             dict(chunk_size=0), dict(phase_bins=0),
-            dict(explore=1.5), dict(surrogate="mlp"), dict(surrogate="knn"),
-            dict(prior_strength=-1),
-            dict(mode="greedy"),
+            dict(explore=1.5), dict(mode="greedy"),
         ):
             with pytest.raises(ValueError):
                 SteeringConfig(**bad).validate()
@@ -218,7 +314,7 @@ class TestSteeredUnitSource:
         # golden_cycles`` locate disagreed with it (cycles 2 and 7
         # tallied into strata 0/2 instead of 1/3), biasing the
         # post-stratified estimate and crashing the round-0 seal.
-        cfg = SteeringConfig(surrogate="none", round_trials=16,
+        cfg = SteeringConfig(round_trials=16,
                              chunk_size=8, early_stop=False)
         source = SteeredUnitSource(
             seed=5, budget=40, elements=["a", "b"], golden_cycles=10,
@@ -238,7 +334,7 @@ class TestSteeredUnitSource:
         # a full bootstrap round and seal it.  With mis-tallied strata
         # the stratified estimator raised "every stratum with positive
         # weight needs >= 1 observation".
-        cfg = SteeringConfig(surrogate="none", round_trials=16,
+        cfg = SteeringConfig(round_trials=16,
                              chunk_size=8, early_stop=False)
         source = SteeredUnitSource(
             seed=5, budget=40, elements=["a", "b"], golden_cycles=10,
@@ -277,8 +373,7 @@ class TestSteeredUnitSource:
 
     def test_bootstrap_round_never_stops_a_steered_campaign(self):
         # An all-masked bootstrap round already meets any target; the
-        # first stop check still waits for round 1, the first one the
-        # surrogate steers.
+        # first stop check still waits for round 1, the first steered one.
         source = self._source(budget=512, target_ci=0.1)
         assert [source.weight(i) for i in range(source.available())] == [32, 32]
         for _ in range(2):
@@ -293,12 +388,65 @@ class TestSteeredUnitSource:
         assert source.stop_reason == "target" and source.exhausted
 
 
+class TestEmpiricalAllocation:
+    def test_default_config_reproduces_empirical_campaigns(self):
+        got = {}
+        for program in P.all_programs():
+            inj = FaultInjector(program)
+            for seed in (1, 2, 3):
+                result = inj.run_steered_campaign(budget=8192, seed=seed)
+                s = result.steering
+                got[f"{program.name}/{seed}"] = (
+                    _digest(result), s["avf_estimate"], s["ci_halfwidth"],
+                )
+                assert s["refits"] == 0 and "surrogate" not in s
+        assert got == EMPIRICAL_CAMPAIGNS
+
+    @pytest.mark.parametrize(
+        "removed", [dict(surrogate="gbdt"), dict(prior_strength=4.0)])
+    def test_surrogate_fields_are_gone(self, removed):
+        with pytest.raises(TypeError):
+            SteeringConfig(**removed)
+
+    def test_unknown_element_is_rejected(self, injector):
+        with pytest.raises(ValueError, match="unknown element 'reg99'"):
+            injector.run_steered_campaign(budget=256, elements=["reg99"])
+
+
+class TestConfigMatrix:
+    """Every steering mode x early-stop choice, inline and over tcp."""
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    @pytest.mark.parametrize("mode", ["steered", "uniform"])
+    def test_inline_and_tcp_are_byte_identical(self, injector, mode,
+                                               early_stop):
+        config = SteeringConfig(mode=mode, early_stop=early_stop,
+                                target_ci=0.05)
+        runs = {}
+        for transport, jobs, options in (("inline", 1, None),
+                                         ("tcp", 2, {"workers": 2})):
+            runs[transport] = injector.run_steered_campaign(
+                budget=512, seed=11, config=config, jobs=jobs,
+                transport=transport, transport_options=options,
+            )
+            assert injector.last_run_stats.transport == transport
+        inline, tcp = runs["inline"], runs["tcp"]
+        assert _digest(tcp) == _digest(inline)
+        assert (json.dumps(tcp.steering, sort_keys=True)
+                == json.dumps(inline.steering, sort_keys=True))
+        s = inline.steering
+        assert s["mode"] == mode and len(inline.records) == s["trials_executed"]
+        if early_stop:
+            assert s["stop_reason"] == "target" and s["trials_saved"] > 0
+        else:
+            assert s["stop_reason"] == "budget" and s["trials_executed"] == 512
+
+
 class TestLiveStrata:
     """Steering samples only live coordinates; dead mass is an exact 0."""
 
     def _source(self, **overrides):
-        cfg = SteeringConfig(surrogate="none", round_trials=64, chunk_size=16,
-                             early_stop=False)
+        cfg = SteeringConfig(round_trials=64, chunk_size=16, early_stop=False)
         return SteeredUnitSource(
             seed=2, budget=256, elements=["reg1", "reg2", "pc"],
             golden_cycles=40, config=cfg,
@@ -376,28 +524,21 @@ class TestSteeredCampaign:
         assert trials == sorted(trials) and len(set(trials)) == len(trials)
         assert s["trajectory"][-1]["halfwidth"] <= s["target_ci"]
         assert len(s["trajectory"]) == s["rounds"]
-        assert s["refits"] >= 1
 
     def test_steering_outcome_is_pinned(self, tight):
-        # Captured with live-cycle strata, the Jeffreys stopping width and
-        # the split bootstrap round, on the ±0.01 run so that two
-        # surrogate refits shape the allocation.  The float tolerance
-        # admits only last-bit differences between numpy builds (SIMD
-        # exp/log); a different tree, allocation or live pool moves the
-        # estimate far more.
+        # Captured with live-cycle strata, the Jeffreys stopping width,
+        # the split bootstrap round and empirical allocation, on the
+        # ±0.01 run so that three steered rounds shape the estimate.  The
+        # float tolerance admits only last-bit differences between numpy
+        # builds; a different allocation or live pool moves the estimate
+        # far more.
         s = tight.steering
-        assert (s["trials_executed"], s["refits"]) == (256, 2)
-        assert s["avf_estimate"] == pytest.approx(0.25147215383750887, rel=1e-12)
-        assert s["ci_halfwidth"] == pytest.approx(0.00999321412970548, rel=1e-12)
-
-    def test_one_refit_per_round_boundary(self, tight):
-        # Every round after the bootstrap one follows a refit, so a
-        # campaign's cost grows with its rounds.
-        s = tight.steering
-        assert s["refits"] == s["rounds"] - 1
+        assert (s["trials_executed"], s["rounds"], s["refits"]) == (384, 4, 0)
+        assert s["avf_estimate"] == pytest.approx(0.2501385982012605, rel=1e-12)
+        assert s["ci_halfwidth"] == pytest.approx(0.007596803999795057, rel=1e-12)
 
     def test_chunk_size_does_not_change_the_campaign(self, injector, tight):
-        # Rounds, refits and stop checks happen at round boundaries only,
+        # Rounds and stop checks happen at round boundaries only,
         # so the scheduler's unit size leaves every coordinate alone.
         other = injector.run_steered_campaign(
             budget=2048, seed=3,
@@ -405,7 +546,6 @@ class TestSteeredCampaign:
         )
         assert _digest(other) == _digest(tight)
         assert other.steering["trajectory"] == tight.steering["trajectory"]
-        assert other.steering["refits"] == tight.steering["refits"]
 
     def test_steered_agrees_with_uniform_baseline(self, steered, uniform):
         # Two 95% CIs for the same AVF: their centres must lie within
@@ -465,7 +605,7 @@ class TestSteeredCampaign:
         # *different* coordinates — a shared cache dir silently replayed
         # records for the wrong coordinates.
         cache = ResultCache(tmp_path / "cache")
-        config = SteeringConfig(surrogate="none", early_stop=False)
+        config = SteeringConfig(early_stop=False)
 
         def run(budget, **kwargs):
             return injector.run_steered_campaign(
