@@ -14,13 +14,11 @@ Sec. V Monte Carlo kernels).
 
 Per-lane memory is a *delta dict* against the running golden memory:
 an entry exists only where the lane's memory differs from golden at the
-current cycle.  That keeps the three retirement checks O(small):
+current cycle.  A lane retires in one of two ways:
 
-* **reconvergence** at a snapshot boundary — live registers equal and
-  delta empty ⇒ the remaining suffix is the golden suffix; classify
-  without executing it (the early-exit masking check);
 * **halt** — lanes still in lockstep at ``HALT`` classify from their
-  delta-patched output words;
+  delta-patched output words (a flip whose effect died out runs the
+  golden suffix and halts here with the golden output);
 * **divergence** — a lane whose branch direction differs from the
   golden trace (or whose load/store address crashes) leaves lockstep;
   branch divergences finish on the block-compiled interpreter
@@ -148,13 +146,6 @@ class BatchedEngine:
         self._mem_base = program.initial_memory
         self._trace = injector.golden_pc_trace
         self._block = BlockProgram(program)
-        # Per-boundary live-register index arrays for the vectorized
-        # reconvergence compare, read off the injector's liveness mask.
-        reg_bits = np.arange(N_REGISTERS, dtype=np.uint32)
-        self._live_rows = {
-            cycle: np.flatnonzero((injector._live_mask[cycle] >> reg_bits) & 1)
-            for cycle in range(0, n, injector.snapshot_interval)
-        }
 
     def run(self, lanes):
         """Execute trial lanes and return ``[(key, Outcome), ...]``.
@@ -167,7 +158,6 @@ class BatchedEngine:
         n_cycles = inj.golden_cycles
         interval = inj.snapshot_interval
         snapshots = inj._snapshots
-        last_boundary = inj._last_boundary
         ops = self._ops
         g_written = self._g_written
         g_value = self._g_value
@@ -193,7 +183,6 @@ class BatchedEngine:
 
         m_groups = m_skipped = m_replayed = 0
         m_vec_cycles = m_lane_cycles = m_div = 0
-        m_exits = m_pruned = 0
 
         def golden_mem(addr):
             """Golden memory at *addr*: overlay first, then the base image."""
@@ -259,27 +248,6 @@ class BatchedEngine:
                         g_overlay[int(staddr)] = int(g_stval[cc])
                 c = target
 
-            if k and c % interval == 0 and c <= last_boundary:
-                # Reconvergence check: live registers equal and (via
-                # the empty-delta invariant) memory equal.  Lanes
-                # activated *at* this cycle are appended below, after
-                # the check, so a lane's first check is at the first
-                # boundary strictly after its injection.
-                rows = self._live_rows[c]
-                if rows.size:
-                    eq = (regs[rows, :k] == golden[rows][:, None]).all(axis=0)
-                else:
-                    eq = np.ones(k, bool)
-                for j in range(k - 1, -1, -1):
-                    if eq[j] and not deltas[j]:
-                        m_exits += 1
-                        m_pruned += n_cycles - c
-                        results.append((
-                            keys[j],
-                            inj._classify(inj.golden_output, n_cycles),
-                        ))
-                        retire(j)
-
             while p < total and lanes[p][1] == c:
                 key, _, reg, bit = lanes[p]
                 p += 1
@@ -289,8 +257,6 @@ class BatchedEngine:
                 if reg:  # r0 is hardwired to zero: flip masked by design
                     regs[reg, k] ^= U64(1 << bit)
                 k += 1
-            if k == 0:
-                continue
 
             op = ops[c]
             cat = op[0]
@@ -456,8 +422,6 @@ class BatchedEngine:
         obs.inc("arch.fi.engine.batch.vector_cycles", m_vec_cycles)
         obs.inc("arch.fi.engine.batch.lane_cycles", m_lane_cycles)
         obs.inc("arch.fi.engine.batch.divergences", m_div)
-        obs.inc("arch.fi.engine.early_exits", m_exits)
-        obs.inc("arch.fi.engine.cycles_pruned", m_pruned)
         obs.inc("arch.fi.engine.cycles_skipped", m_skipped)
         obs.inc("arch.fi.engine.cycles_replayed", m_replayed)
         return results

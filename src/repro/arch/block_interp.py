@@ -23,10 +23,9 @@ scalar CPU instead:
   (possible for ``pc``-flip faults; divergent branch directions are
   always leaders by CFG construction).
 
-The interpreter never checks golden reconvergence: early exits are an
-optimization, not a semantic, so classifying from the final
-architectural state produces bit-identical outcomes.  See
-``docs/fi-engine.md``.
+The interpreter never checks golden reconvergence: a run classifies
+from its final architectural state, which gives the same outcome as
+the ``reference`` engine.  See ``docs/fi-engine.md``.
 """
 
 from __future__ import annotations

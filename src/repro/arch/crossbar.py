@@ -41,10 +41,6 @@ class Crossbar:
     def shape(self):
         return self.weights.shape
 
-    @property
-    def n_cells(self):
-        return self.weights.size
-
     def inject_stuck_at(self, row, col, stuck_on):
         """Pin cell (row, col) to +/-g_max (stuck-on, keeping sign) or 0."""
         r, c = self.shape

@@ -26,11 +26,9 @@ Trial execution runs on one of two engines (``engine=``):
   ``MASKED`` without running; the single
   golden run leaves a ladder of architectural snapshots, and whole
   chunks of trials march down the golden PC trace in lockstep as numpy
-  lanes, with per-opcode masked updates and an early-exit masking check
-  that classifies a lane without running the rest of its suffix once
-  its live state has reconverged with the golden run at a snapshot
-  boundary; lanes whose control flow diverges from the golden trace
-  finish on the block-compiled interpreter
+  lanes, with per-opcode masked updates; a lane retires when it halts
+  in lockstep or crashes, and lanes whose control flow diverges from
+  the golden trace finish on the block-compiled interpreter
   (:mod:`repro.arch.batched_engine`).
 * ``"reference"`` — the original full re-execution from cycle 0, kept
   as the equivalence oracle (CLI: ``--reference-engine``).
@@ -215,8 +213,6 @@ class FaultInjector:
         self.snapshot_interval = interval
         self._snapshots = snapshots
         self._live_mask = self._golden_liveness(trace)
-        # Last snapshot cycle: boundary checks past it are impossible.
-        self._last_boundary = ((self.golden_cycles - 1) // interval) * interval
         # Trials restore into one reusable CPU instead of building a fresh
         # simulator per injection.
         self._trial_cpu = CPU(program, max_cycles=self.max_cycles)
@@ -237,9 +233,8 @@ class FaultInjector:
         cannot influence anything the outcome classification observes
         (output words and cycle count) — the ACE/un-ACE distinction of
         AVF analysis.  So a flip into a clear bit is masked without
-        running it (:meth:`live_cycles`, the batched engine's pruning),
-        and the early-exit check at snapshot boundaries compares only
-        the set bits.  ``r0`` is hardwired to zero and never set.
+        running it (:meth:`live_cycles`, the batched engine's pruning).
+        ``r0`` is hardwired to zero and never set.
         """
         instructions = self.program.instructions
         kill = [
@@ -464,7 +459,6 @@ class FaultInjector:
             "max_cycles": self.max_cycles,
             "snapshots": len(self._snapshots),
             "snapshot_interval": self.snapshot_interval,
-            "last_boundary": self._last_boundary,
         }
 
     def _campaign(self, worker, n_trials, seed, key_parts, jobs, cache, progress,

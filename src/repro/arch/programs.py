@@ -259,11 +259,3 @@ def all_programs():
         fir_filter(),
         binary_search(),
     ]
-
-
-def golden_outputs(program, max_cycles=200_000):
-    """Golden (fault-free) output words of a program."""
-    from repro.arch.cpu import CPU
-
-    result = CPU(program, max_cycles=max_cycles).run()
-    return result.output(program.output_range)

@@ -95,11 +95,6 @@ class SpiceLikeCharacterizer:
         slew_penalty = 1.0 + 0.004 * input_slew
         return base * stack_penalty * slew_penalty
 
-    def arc_output_slew(self, cell, input_slew, load, **kwargs):
-        """Output transition time (ps); tracks delay with a load-weighted tail."""
-        delay = self.arc_delay(cell, input_slew, load, **kwargs)
-        return 0.9 * delay + 0.08 * input_slew
-
     def arc_she_temperature(self, cell, input_slew, load, vdd=0.8, activity=1.0):
         """Maximum self-heating dT (K) across the cell's devices for one arc."""
         self.simulated_points += 1
@@ -174,12 +169,6 @@ class SpiceLikeCharacterizer:
                 delta_vth=library.delta_vth,
                 include_she=include_she,
             )
-        return library
-
-    def characterize_library_she(self, library, activity=1.0):
-        """SHE-characterize every cell (Fig. 3 upper flow)."""
-        for cell in library:
-            self.characterize_cell_she(cell, vdd=library.vdd, activity=activity)
         return library
 
     @property

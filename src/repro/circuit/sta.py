@@ -264,18 +264,6 @@ class StaticTimingAnalysis:
         self._require_run()
         return {name: t.max_arc_value for name, t in self.timings.items()}
 
-    def instance_conditions(self):
-        """Per-instance (input pin -> slew, load) operating conditions.
-
-        These are exactly the features the ML characterizer needs to build
-        per-instance corner cells.
-        """
-        self._require_run()
-        return {
-            name: {"pin_slews": dict(t.pin_slews), "load_ff": t.load_ff}
-            for name, t in self.timings.items()
-        }
-
 
 def write_sdf(sta, path=None, design_name=None, unit="ps"):
     """Serialize an STA run's per-arc values as a (minimal) SDF file.

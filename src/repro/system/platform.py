@@ -75,9 +75,6 @@ class Platform:
         """Install a new task-to-core assignment (migration knob)."""
         self.assignment = dict(assignment)
 
-    def core_of(self, task):
-        return self.cores[self.assignment[task.name]]
-
     def _release_jobs(self):
         """Jobs whose release time falls inside the current step."""
         due = []

@@ -32,10 +32,6 @@ class Discretizer:
             int(np.searchsorted(edges, x)) for edges, x in zip(self.edges, observation)
         )
 
-    @property
-    def n_states_per_dim(self):
-        return [len(e) + 1 for e in self.edges]
-
 
 class QLearningAgent:
     """Epsilon-greedy tabular Q-learning with decaying exploration."""

@@ -79,11 +79,6 @@ class TaskSet:
     def utilization(self):
         return sum(t.utilization for t in self.tasks)
 
-    def hyperperiod_steps(self, dt):
-        """Number of ``dt`` steps covering the longest period a few times."""
-        longest = max(t.period for t in self.tasks)
-        return int(np.ceil(4 * longest / dt))
-
 
 def generate_task_set(
     n_tasks=8,

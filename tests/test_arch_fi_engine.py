@@ -2,9 +2,9 @@
 
 The reference engine re-executes every trial from cycle 0 and is kept
 as the oracle; the batched engine runs whole chunks of trials in
-lockstep down the golden trace as numpy lanes, early-exits on
-reconvergence at snapshot boundaries, and falls out to the
-block-compiled interpreter on divergence.  Every test here pins the
+lockstep down the golden trace as numpy lanes, retires a lane when it
+halts in lockstep or crashes, and falls out to the block-compiled
+interpreter on divergence.  Every test here pins the
 contract that both engines produce bit-identical
 :class:`InjectionRecord`\\ s — outcomes, injection context, everything.
 Single-coordinate :meth:`FaultInjector.inject_many` calls force
@@ -75,22 +75,35 @@ class TestCampaignEquivalence:
         assert r.golden_output == b.golden_output
         assert r.golden_cycles == b.golden_cycles
 
-    def test_identical_under_jobs_and_cache(self, tmp_path):
+    @pytest.mark.parametrize("transport,jobs", [("inline", 1), ("tcp", 2)],
+                             ids=["inline", "tcp"])
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    def test_identical_under_jobs_and_cache(self, tmp_path, engine,
+                                            transport, jobs):
+        # Every engine x transport cell matches the serial uncached
+        # oracle run, so all four record lists are equal.
         from repro.runtime import ResultCache
 
-        ref, batched = _pair(P.checksum(16))
-        serial = ref.run_campaign(n_trials=48, seed=3)
-        cache = ResultCache(tmp_path / "cache")
-        parallel = batched.run_campaign(
-            n_trials=48, seed=3, jobs=2, cache=cache, chunk_size=16
+        program = P.checksum(16)
+        serial = FaultInjector(program, engine="reference").run_campaign(
+            n_trials=48, seed=3
         )
-        assert serial.records == parallel.records
+        inj = FaultInjector(program, engine=engine)
+        cache = ResultCache(tmp_path / "cache")
+        run = inj.run_campaign(
+            n_trials=48, seed=3, jobs=jobs, cache=cache, chunk_size=16,
+            transport=transport,
+            transport_options={"workers": jobs} if jobs > 1 else None,
+        )
+        assert run.records == serial.records
+        assert inj.last_run_stats.transport == transport
+        assert inj.last_run_stats.executed_trials == 48
         # Second run replays from the cache: still identical.
-        cached = batched.run_campaign(
+        cached = inj.run_campaign(
             n_trials=48, seed=3, jobs=1, cache=cache, chunk_size=16
         )
         assert cached.records == serial.records
-        assert batched.last_run_stats.cached_trials == 48
+        assert inj.last_run_stats.cached_trials == 48
 
     def test_exhaustive_element_campaigns_match(self):
         ref, batched = _pair(P.dot_product(8))
@@ -263,49 +276,64 @@ class TestEngineInternals:
         assert cpu.cycles == 10
 
     def test_batched_engine_emits_ladder_metrics(self):
+        # A live flip whose effect dies out runs the golden suffix in
+        # lockstep and classifies at HALT, like any other lane.
         program = P.dot_product(8)
-        coord = _find_coordinate(program, "arch.fi.engine.early_exits")
+        coord = (12, "reg3", 31)
         with obs.collecting():
             batched = FaultInjector(program, engine="batched")
-            batched.inject_many([coord])
+            records = batched.inject_many([coord])
             counters = obs.metrics_snapshot()["counters"]
+        reference = FaultInjector(program, engine="reference")
+        assert records == reference.inject_many([coord])
+        assert records[0].outcome is Outcome.MASKED
+        assert counters["arch.fi.engine.batch.lanes"] == 1
         assert counters["arch.fi.engine.snapshots"] > 0
-        assert counters["arch.fi.engine.early_exits"] == 1
-        assert counters["arch.fi.engine.cycles_pruned"] > 0
         assert counters["arch.fi.engine.cycles_skipped"] > 0
+        assert _engine_counters(counters) == _LANE_COUNTERS
 
-    def test_early_exit_prunes_most_masked_work(self):
-        # A live flip that reconverges exits at the next boundary: the
-        # pruned suffix must dominate the replayed gap on a long program
-        # with a sparse ladder.
+    def test_reconverged_flip_halts_in_lockstep(self):
+        # A masked live flip stays in lockstep from its injection cycle
+        # to HALT: every suffix cycle before HALT is one vector cycle of
+        # its one lane.
         program = P.fir_filter()
-        coord = _find_coordinate(program, "arch.fi.engine.early_exits")
+        coord = (9, "reg6", 31)
         with obs.collecting():
-            FaultInjector(program, engine="batched").inject_many([coord])
+            batched = FaultInjector(program, engine="batched")
+            records = batched.inject_many([coord])
             counters = obs.metrics_snapshot()["counters"]
-        assert counters["arch.fi.engine.early_exits"] == 1
+        reference = FaultInjector(program, engine="reference")
+        assert records == reference.inject_many([coord])
+        assert records[0].outcome is Outcome.MASKED
+        assert counters["arch.fi.engine.batch.lanes"] == 1
+        assert counters["arch.fi.engine.batch.divergences"] == 0
         assert (
-            counters["arch.fi.engine.cycles_pruned"]
-            > counters["arch.fi.engine.cycles_replayed"]
+            counters["arch.fi.engine.batch.vector_cycles"]
+            == batched.golden_cycles - coord[0] - 1
         )
+        assert _engine_counters(counters) == _LANE_COUNTERS
 
 
-def _find_coordinate(program, counter):
-    """A live register (cycle, element, bit) whose one-lane trial bumps
-    ``counter`` (dead coordinates are pruned before any lane runs)."""
-    batched = FaultInjector(program, engine="batched")
-    live = {el: set(batched.live_cycles(el).tolist()) for el in ELEMENTS[1:16]}
-    for cycle in range(0, batched.golden_cycles, 3):
-        for element in ELEMENTS[1:16]:
-            if cycle not in live[element]:
-                continue
-            for bit in (0, 3, 31):
-                with obs.collecting():
-                    batched.inject_many([(cycle, element, bit)])
-                    counters = obs.metrics_snapshot()["counters"]
-                if counters.get(counter, 0):
-                    return cycle, element, bit
-    raise AssertionError(f"no coordinate bumps {counter}")
+#: Every engine counter a one-lane sweep that halts in lockstep emits:
+#: a lane retires only at HALT, on a crash or on divergence, so no
+#: counter tallies any other retirement.
+_LANE_COUNTERS = {
+    "arch.fi.engine." + name for name in (
+        "snapshots", "cycles_skipped", "cycles_replayed",
+        "batch.groups", "batch.lanes", "batch.vector_cycles",
+        "batch.lane_cycles", "batch.divergences",
+    )
+}
+
+
+def _engine_counters(counters):
+    """The ``arch.fi.engine.*`` counter names in a metrics snapshot, less
+    ``ladder_reuse`` (it tracks the per-process engine cache)."""
+    return {
+        name for name in counters
+        if name.startswith("arch.fi.engine.")
+        and name != "arch.fi.engine.ladder_reuse"
+    }
 
 
 class TestBatchedEngine:
@@ -314,7 +342,7 @@ class TestBatchedEngine:
         # drop out of the lockstep sweep and still classify exactly as
         # the oracle engine does.
         program = P.bubble_sort(6)
-        coord = _find_coordinate(program, "arch.fi.engine.batch.divergences")
+        coord = (3, "reg1", 0)
         ref, batched = _pair(program)
         expected = _one(ref, *coord)
         with obs.collecting():
@@ -356,7 +384,7 @@ class TestBatchedEngine:
     def test_batch_occupancy_metrics(self):
         program = P.dot_product(8)
         batched = FaultInjector(program, engine="batched")
-        coords = [_find_coordinate(program, "arch.fi.engine.early_exits")]
+        coords = [(12, "reg3", 31)]
         coords += [
             (c, "reg2", b) for c in batched.live_cycles("reg2")[::7].tolist()
             for b in (1, 30)
@@ -375,7 +403,6 @@ class TestBatchedEngine:
             <= counters["arch.fi.engine.batch.lanes"]
             * counters["arch.fi.engine.batch.vector_cycles"]
         )
-        assert counters["arch.fi.engine.early_exits"] > 0
 
     def test_uniform_campaign_trial_accounting(self):
         # Every trial takes exactly one engine path: pruned as dead, a
