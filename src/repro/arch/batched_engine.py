@@ -34,8 +34,9 @@ fast-forwarding with precomputed per-cycle effect arrays instead of
 executing instructions.
 
 Equivalence contract: identical :class:`InjectionRecord` outcomes to
-the ``reference`` engine for every coordinate — pinned
-by tests and by ``benchmarks/perf_smoke.py``.  See
+the ``reference`` engine for every coordinate — pinned by
+``tests/test_arch_fi_engine.py`` and re-checked on a sample of every
+``perfbench`` ``fi-uniform`` campaign.  See
 ``docs/fi-engine.md`` for the full design walkthrough.
 """
 

@@ -1,13 +1,14 @@
 """Synthetic latency-bound campaign workloads for fabric benchmarks.
 
-The distributed-fabric benchmark (``benchmarks/perf_smoke.py``,
-``BENCH_dist.json``) measures how campaign throughput scales with
-*worker count*, which is a property of the scheduler/transport fabric,
-not of the CPU: on a one-core CI runner a CPU-bound unit cannot go
-faster with more processes, but a latency-bound unit — one dominated by
-I/O-style waiting, like a device measurement or an RPC — pipelines
-across workers exactly as queueing theory predicts (throughput ≈
-workers / unit latency, until the core saturates).
+The distributed-fabric benchmark (``dist_scaling`` in
+``benchmarks/perf_smoke.py``, recorded in ``BENCH_smoke.json``)
+measures how campaign throughput scales with *worker count*, which is
+a property of the scheduler/transport fabric, not of the CPU: on a
+one-core CI runner a CPU-bound unit cannot go faster with more
+processes, but a latency-bound unit — one dominated by I/O-style
+waiting, like a device measurement or an RPC — pipelines across
+workers exactly as queueing theory predicts (throughput ≈ workers /
+unit latency, until the core saturates).
 
 :class:`LatencyWorker` models such a unit: a fixed sleep followed by a
 deterministic per-trial draw, so runs stay bit-identical across

@@ -119,8 +119,7 @@ class CampaignRunner:
     ----------
     jobs:
         Worker processes.  ``1`` (default) runs inline; ``0`` or ``None``
-        means one per CPU.  An explicitly chosen ``tcp`` transport scales
-        with its own ``workers`` option, not ``jobs``.
+        means one per CPU.
     chunk_size:
         Trials per :class:`TrialChunk` in :meth:`run_trials`.  Keep it
         constant across runs that should share cache entries.
@@ -153,7 +152,9 @@ class CampaignRunner:
         than two units, else ``tcp`` with ``jobs`` forked workers.
     transport_options:
         Constructor kwargs when ``transport`` is a registry name — e.g.
-        ``{"workers": 4, "port": 7777}`` for ``tcp``.
+        ``{"port": 7777}`` for ``tcp``, which forks ``jobs`` workers
+        unless a ``workers`` option says otherwise (``0``: external
+        workers only).
     """
 
     def __init__(self, jobs=1, chunk_size=DEFAULT_CHUNK_SIZE, cache=None,
@@ -242,7 +243,10 @@ class CampaignRunner:
         if isinstance(self.transport, Transport):
             return self.transport, False
         if isinstance(self.transport, str):
-            return create_transport(self.transport, **self.transport_options), True
+            options = dict(self.transport_options)
+            if self.transport == "tcp":
+                options.setdefault("workers", self.jobs)
+            return create_transport(self.transport, **options), True
         # One job or fewer than two units never pays for workers.
         if self.jobs == 1 or len(source) < 2:
             return InlineTransport(), True

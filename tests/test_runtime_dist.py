@@ -3,6 +3,7 @@ churn, liveness and stale-report handling, concurrent cache writers,
 engine-ladder reuse, and per-worker attribution
 (repro.runtime.{scheduler,transports} et al.)."""
 
+import json
 import os
 import pickle
 import selectors
@@ -962,6 +963,56 @@ class TestTcpMalformedPeers:
         finally:
             theirs.close()
             transport.shutdown()
+
+
+#: A campaign named ``transport="tcp"`` with no ``workers`` option;
+#: prints whether it matched inline and the worker count it ran with.
+_TCP_DEFAULT_WORKERS = """
+import json
+from repro.arch import FaultInjector
+from repro.arch import programs as P
+from repro.runtime import CampaignRunner
+from tests.test_runtime import _draw_chunk
+
+inline = CampaignRunner(jobs=1, chunk_size=6).run_trials(_draw_chunk, 60, seed=5)
+runner = CampaignRunner(jobs=2, chunk_size=6, transport="tcp")
+runner_ok = runner.run_trials(_draw_chunk, 60, seed=5) == inline
+injector = FaultInjector(P.checksum(8))
+reference = injector.run_campaign(n_trials=256, seed=1, chunk_size=64).records
+records = injector.run_campaign(
+    n_trials=256, seed=1, chunk_size=64, jobs=2, transport="tcp"
+).records
+print(json.dumps({
+    "runner_ok": runner_ok,
+    "runner_workers": runner.stats.transport_info["workers"],
+    "fi_ok": records == reference,
+    "fi_workers": injector.last_run_stats.transport_info["workers"],
+}))
+"""
+
+
+class TestTcpDefaultWorkers:
+    def test_named_tcp_without_options_forks_jobs_workers(self):
+        """``transport="tcp"`` with no ``workers`` option forks ``jobs``
+        workers.  Run in a subprocess with a timeout, so a campaign that
+        forks nobody and waits forever fails instead of hanging."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", _TCP_DEFAULT_WORKERS], cwd=root,
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("a tcp campaign without a workers option hung")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "runner_ok": True, "runner_workers": 2,
+            "fi_ok": True, "fi_workers": 2,
+        }
 
 
 class TestTcpExternalWorkers:

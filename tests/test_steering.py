@@ -537,6 +537,28 @@ class TestSteeredCampaign:
         assert s["avf_estimate"] == pytest.approx(0.2501385982012605, rel=1e-12)
         assert s["ci_halfwidth"] == pytest.approx(0.007596803999795057, rel=1e-12)
 
+    def test_matmul_trials_to_target_are_pinned(self):
+        # Steered vs uniform sequential campaign on matmul(5) to the same
+        # ±0.02 half-width.  The run is deterministic, so the executed
+        # trial counts are pinned exactly (a 9x saving); both must stop
+        # on the target, and the steered estimate must land inside the
+        # uniform run's Wilson reference interval.
+        injector = FaultInjector(P.matmul(5), max_cycles_factor=1.5)
+        runs = {
+            mode: injector.run_steered_campaign(
+                budget=8192, seed=2,
+                config=SteeringConfig(mode=mode, target_ci=0.02),
+            )
+            for mode in ("steered", "uniform")
+        }
+        steered, uniform = runs["steered"], runs["uniform"]
+        assert steered.steering["stop_reason"] == "target"
+        assert uniform.steering["stop_reason"] == "target"
+        lo, hi = uniform.uniform_interval()
+        assert lo <= steered.steering["avf_estimate"] <= hi
+        assert steered.steering["trials_executed"] == 256
+        assert uniform.steering["trials_executed"] == 2304
+
     def test_chunk_size_does_not_change_the_campaign(self, injector, tight):
         # Rounds and stop checks happen at round boundaries only,
         # so the scheduler's unit size leaves every coordinate alone.
