@@ -33,6 +33,10 @@ injection cycle by restoring golden state from the snapshot ladder and
 fast-forwarding with precomputed per-cycle effect arrays instead of
 executing instructions.
 
+``pc``/``ir`` trials leave the trace at once, so they never become
+lanes: each starts from the golden state the sweep holds at its cycle,
+steps to a block leader and finishes on the block interpreter.
+
 Equivalence contract: identical :class:`InjectionRecord` outcomes to
 the ``reference`` engine for every coordinate — pinned by
 ``tests/test_arch_fi_engine.py`` and re-checked on a sample of every
@@ -46,7 +50,7 @@ import numpy as np
 
 from repro import obs
 from repro.arch.block_interp import CRASHED, HALTED, BlockProgram
-from repro.arch.cpu import CPU, CPUSnapshot, CrashError, MEMORY_LIMIT
+from repro.arch.cpu import CPU, CPUSnapshot, CrashError, MEMORY_LIMIT, STATE_ELEMENTS
 
 # Safe despite the mutual relationship: fault_injection only imports
 # this module lazily, from inside FaultInjector._batched_engine().
@@ -151,9 +155,10 @@ class BatchedEngine:
     def run(self, lanes):
         """Execute trial lanes and return ``[(key, Outcome), ...]``.
 
-        ``lanes`` is a list of ``(key, cycle, reg_index, bit)`` with
-        ``0 <= cycle < golden_cycles``; keys are returned untouched so
-        the caller can restore submission order.
+        ``lanes`` is a list of ``(key, cycle, element_index, bit)`` with
+        ``0 <= cycle < golden_cycles`` and ``element_index`` an index
+        into :data:`repro.arch.cpu.STATE_ELEMENTS`; keys are returned
+        untouched so the caller can restore submission order.
         """
         inj = self._inj
         n_cycles = inj.golden_cycles
@@ -182,7 +187,7 @@ class BatchedEngine:
         p = 0  # next lane to activate
         n_dirty = 0  # active lanes with a non-empty memory delta
 
-        m_groups = m_skipped = m_replayed = 0
+        m_groups = m_skipped = m_replayed = m_off = 0
         m_vec_cycles = m_lane_cycles = m_div = 0
 
         def golden_mem(addr):
@@ -252,12 +257,20 @@ class BatchedEngine:
             while p < total and lanes[p][1] == c:
                 key, _, reg, bit = lanes[p]
                 p += 1
+                if reg >= N_REGISTERS:  # pc/ir: leaves the trace at once
+                    m_off += 1
+                    results.append((key, self._run_scalar(
+                        golden, g_overlay, c, STATE_ELEMENTS[reg], bit
+                    )))
+                    continue
                 regs[:, k] = golden
                 deltas[k] = {}
                 keys[k] = key
                 if reg:  # r0 is hardwired to zero: flip masked by design
                     regs[reg, k] ^= U64(1 << bit)
                 k += 1
+            if k == 0:  # only pc/ir trials started at this cycle
+                continue
 
             op = ops[c]
             cat = op[0]
@@ -419,7 +432,9 @@ class BatchedEngine:
             c += 1
 
         obs.inc("arch.fi.engine.batch.groups", m_groups)
-        obs.inc("arch.fi.engine.batch.lanes", total)
+        obs.inc("arch.fi.engine.batch.lanes", total - m_off)
+        if m_off:
+            obs.inc("arch.fi.engine.batch.offtrace_trials", m_off)
         obs.inc("arch.fi.engine.batch.vector_cycles", m_vec_cycles)
         obs.inc("arch.fi.engine.batch.lane_cycles", m_lane_cycles)
         obs.inc("arch.fi.engine.batch.divergences", m_div)
@@ -427,48 +442,34 @@ class BatchedEngine:
         obs.inc("arch.fi.engine.cycles_replayed", m_replayed)
         return results
 
-    def run_offtrace(self, cycle, element, bit):
-        """Run one ``pc``/``ir`` trial: scalar to a block leader, then
-        finish on the block-compiled interpreter.
+    def _run_scalar(self, golden, g_overlay, cycle, element, bit):
+        """Run one ``pc``/``ir`` trial from the golden state at ``cycle``.
 
         A pc flip can land at a non-leader and an ir fault corrupts the
-        *next* fetch, so the trial scalar-steps until the fault is
-        consumed and the PC sits on a block leader (bounded by one block
-        length), then hands off to :class:`BlockProgram`.
+        *next* fetch, so the trial steps until the fault is consumed and
+        the PC sits on a block leader (at most one block), then hands off
+        to :class:`BlockProgram`.
         """
-        inj = self._inj
-        cpu = inj._trial_cpu
-        interval = inj.snapshot_interval
-        snap = inj._snapshots[cycle // interval]
-        cpu.restore(snap)
-        obs.inc("arch.fi.engine.cycles_skipped", snap.cycles)
-        obs.inc("arch.fi.engine.cycles_replayed", cycle - snap.cycles)
-        with obs.span("arch.cpu.replay"):
-            cpu.run_span(cycle)
-            cpu.flip_bit(element, bit)
-            leaders = self._block.leaders
-            try:
-                while not cpu.halted and (
-                    cpu._ir_fault or cpu.pc not in leaders
-                ):
-                    cpu.step()
-            except CrashError:
-                return Outcome.CRASH
-            except TimeoutError:
-                return Outcome.HANG
-            if cpu.halted:
-                return inj._classify(
-                    cpu.output(inj.program.output_range), cpu.cycles
-                )
-            return self._finish_block(
+        cpu = self._inj._trial_cpu
+        cpu.restore(CPUSnapshot(
+            registers=tuple(golden.tolist()), pc=self._trace[cycle],
+            cycles=cycle, halted=False, mem_overlay=g_overlay, ir_fault=0,
+        ))
+        cpu.flip_bit(element, bit)
+        outcome = self._step(self._block.leaders)
+        if outcome is None:
+            outcome = self._finish_block(
                 list(cpu.registers), cpu._mem_overlay, cpu.pc, cpu.cycles
             )
+        return outcome
 
     def _finish_block(self, regs_list, overlay, pc, cycles):
         """Finish an off-trace trial via the compiled block runner.
 
-        Near-budget and off-dispatch returns bounce to the scalar CPU so
-        cycle-exact timeout/halt-at-budget semantics are preserved.
+        A near-budget (or off-dispatch) return bounces to
+        :meth:`CPU.step` for at most one maximal block, so the
+        cycle-exact timeout and halt-at-budget semantics are the
+        reference engine's.
         """
         inj = self._inj
         status, pc2, cyc2, out_regs = self._block.run(
@@ -479,20 +480,30 @@ class BatchedEngine:
         if status == CRASHED:
             return Outcome.CRASH
         obs.inc("arch.fi.engine.batch.scalar_tails")
-        cpu = inj._trial_cpu
-        cpu.restore(CPUSnapshot(
+        inj._trial_cpu.restore(CPUSnapshot(
             registers=tuple(out_regs), pc=pc2, cycles=cyc2,
             halted=False, mem_overlay=overlay, ir_fault=0,
         ))
+        return self._step()
+
+    def _step(self, leaders=frozenset()):
+        """:meth:`CPU.step` the trial CPU to halt, crash or timeout.
+
+        Returns ``None`` instead once the PC sits on one of ``leaders``
+        with no ``ir`` fault pending.
+        """
+        inj = self._inj
+        cpu = inj._trial_cpu
         try:
-            cpu.run_span()
+            while not cpu.halted:
+                if cpu.pc in leaders and not cpu._ir_fault:
+                    return None
+                cpu.step()
         except CrashError:
             return Outcome.CRASH
         except TimeoutError:
             return Outcome.HANG
-        return inj._classify(
-            cpu.output(inj.program.output_range), cpu.cycles
-        )
+        return inj._classify(cpu.output(inj.program.output_range), cpu.cycles)
 
     def _output_from(self, overlay):
         """Read the program's output words through ``overlay``."""

@@ -11,14 +11,14 @@ whose basic blocks are straight-line code over register *locals*
 (``r1`` … ``r15``; ``r0`` folds to the literal ``0``), re-dispatching
 on the PC only at block boundaries.
 
-Semantics mirror :meth:`repro.arch.cpu.CPU.run_span` exactly — same
+Semantics mirror :meth:`repro.arch.cpu.CPU.step` exactly — same
 32-bit masking, signed-compare branches, copy-on-write memory overlay,
 :data:`repro.arch.cpu.MEMORY_LIMIT` crashes, and halt behaviour.  Two
-situations are deliberately *not* handled inline and bounce back to the
-scalar CPU instead:
+situations are deliberately *not* handled inline and bounce back to
+``CPU.step`` instead:
 
 * **near-budget** — within one maximal block length of ``max_cycles``,
-  so the scalar loop delivers the cycle-exact ``TimeoutError``;
+  so the scalar steps deliver the cycle-exact ``TimeoutError``;
 * **off-dispatch entry** — an entry PC that is not a block leader
   (possible for ``pc``-flip faults; divergent branch directions are
   always leaders by CFG construction).

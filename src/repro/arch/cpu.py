@@ -18,8 +18,11 @@ Data memory is a copy-on-write overlay over the program's (immutable)
 initial image: stores land in a small per-run overlay dict, loads fall
 through to the initial image.  That makes :meth:`CPU.snapshot` /
 :meth:`CPU.restore` — the primitives behind the batched fault-injection
-engine's snapshot ladder and off-trace replay — O(registers + stores so
-far) instead of O(total memory footprint).
+engine's snapshot ladder and its scalar ``pc``/``ir`` starts and tails —
+O(registers + stores so far) instead of O(total memory footprint).
+
+:meth:`CPU.step` is the one scalar interpreter: the ``reference`` engine,
+the golden runs and the batched engine's scalar stretches all use it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from repro.arch.isa import (
 )
 
 MEMORY_LIMIT = 1 << 20  # addresses above this are architectural crashes
+
+#: Injectable state elements, in :meth:`CPU.state_elements` order.
+STATE_ELEMENTS = tuple(f"reg{i}" for i in range(N_REGISTERS)) + ("pc", "ir")
 
 _OPCODES = list(Opcode)
 # pack_instruction sits on the fault-injection hot path (every "ir"
@@ -59,6 +65,7 @@ class ExecutionResult:
     trace_writes: dict = field(default_factory=dict)  # reg -> write count
 
     def output(self, output_range):
+        """The words of ``output_range`` (``(start, length)``) in final memory."""
         start, length = output_range
         return tuple(self.memory.get(start + i, 0) for i in range(length))
 
@@ -126,6 +133,7 @@ class CPU:
         self.reset()
 
     def reset(self):
+        """Return to the power-on state: zeroed registers, pc 0, no stores."""
         self.registers = [0] * N_REGISTERS
         self.pc = 0
         self._mem_overlay = {}
@@ -187,7 +195,7 @@ class CPU:
     # -- state-element access (the fault-injection surface) -------------------
     def state_elements(self):
         """Names of all injectable state elements."""
-        return [f"reg{i}" for i in range(N_REGISTERS)] + ["pc", "ir"]
+        return list(STATE_ELEMENTS)
 
     def flip_bit(self, element, bit):
         """Flip one bit of a state element *now* (between cycles).
@@ -291,118 +299,6 @@ class CPU:
         else:  # pragma: no cover - enum is exhaustive
             raise CrashError(f"unimplemented opcode {op}")
         self.pc = next_pc
-
-    def run_span(self, stop_cycle=None):
-        """Execute until ``cycles == stop_cycle``, halt, crash, or timeout.
-
-        A tight-loop twin of repeated :meth:`step` for the
-        checkpoint-and-replay fault-injection engine: architectural
-        state evolves identically (same crashes, same
-        :class:`TimeoutError` budget, same halt semantics), but the
-        interpreter loop is inlined with cached locals and skips the
-        per-register read/write trace counters — bookkeeping that only
-        :class:`ExecutionResult` consumers (e.g. selective replication)
-        need and that fault-injection records never observe.
-
-        ``stop_cycle=None`` runs to halt or cycle budget.  A pending IR
-        fault is consumed by the first fetch, exactly as in
-        :meth:`step`.
-        """
-        instructions = self.program.instructions
-        n_instr = len(instructions)
-        regs = self.registers
-        overlay = self._mem_overlay
-        base = self._mem_base
-        max_cycles = self.max_cycles
-        arith = ARITH_OPS
-        pc = self.pc
-        cycles = self.cycles
-        halted = self.halted
-        # An IR fault is consumed by the first fetch, so keep it in a
-        # local instead of re-reading the attribute every cycle; -1 is an
-        # unreachable cycle count, sparing a per-cycle None compare.
-        ir_fault = self._ir_fault
-        if stop_cycle is None:
-            stop_cycle = -1
-        try:
-            while not halted and cycles != stop_cycle:
-                if not 0 <= pc < n_instr:
-                    raise CrashError(f"pc {pc} outside program")
-                instr = instructions[pc]
-                if ir_fault:
-                    instr = unpack_instruction(pack_instruction(instr) ^ ir_fault)
-                    ir_fault = 0
-                    self._ir_fault = 0
-                op = instr.opcode
-                next_pc = pc + 1
-                # r0 reads as 0 because writes to it are dropped, so the
-                # registers[0] == 0 invariant lets reads skip the check.
-                if op in arith:
-                    a = regs[instr.rs1]
-                    b = regs[instr.rs2]
-                    if op is Opcode.ADD:
-                        value = a + b
-                    elif op is Opcode.SUB:
-                        value = a - b
-                    elif op is Opcode.MUL:
-                        value = a * b
-                    elif op is Opcode.AND:
-                        value = a & b
-                    elif op is Opcode.OR:
-                        value = a | b
-                    elif op is Opcode.XOR:
-                        value = a ^ b
-                    elif op is Opcode.SHL:
-                        value = a << (b & 31)
-                    else:  # SHR
-                        value = a >> (b & 31)
-                    if instr.rd:
-                        regs[instr.rd] = value & WORD_MASK
-                elif op is Opcode.ADDI:
-                    if instr.rd:
-                        regs[instr.rd] = (regs[instr.rs1] + instr.imm) & WORD_MASK
-                elif op is Opcode.LUI:
-                    if instr.rd:
-                        regs[instr.rd] = instr.imm & WORD_MASK
-                elif op is Opcode.LD:
-                    addr = (regs[instr.rs1] + instr.imm) & WORD_MASK
-                    if addr >= MEMORY_LIMIT:
-                        raise CrashError(f"load from invalid address {addr}")
-                    if instr.rd:
-                        value = overlay[addr] if addr in overlay else base.get(addr, 0)
-                        regs[instr.rd] = value & WORD_MASK
-                elif op is Opcode.ST:
-                    addr = (regs[instr.rs1] + instr.imm) & WORD_MASK
-                    if addr >= MEMORY_LIMIT:
-                        raise CrashError(f"store to invalid address {addr}")
-                    overlay[addr] = regs[instr.rs2] & WORD_MASK
-                elif op is Opcode.BEQ:
-                    if regs[instr.rs1] == regs[instr.rs2]:
-                        next_pc = pc + 1 + instr.imm
-                elif op is Opcode.BNE:
-                    if regs[instr.rs1] != regs[instr.rs2]:
-                        next_pc = pc + 1 + instr.imm
-                elif op is Opcode.BLT:
-                    if _signed(regs[instr.rs1]) < _signed(regs[instr.rs2]):
-                        next_pc = pc + 1 + instr.imm
-                elif op is Opcode.JMP:
-                    next_pc = pc + 1 + instr.imm
-                elif op is Opcode.HALT:
-                    halted = True
-                    cycles += 1
-                    break
-                elif op is not Opcode.NOP:  # pragma: no cover - exhaustive
-                    raise CrashError(f"unimplemented opcode {op}")
-                pc = next_pc
-                cycles += 1
-                if cycles >= max_cycles:
-                    raise TimeoutError(f"exceeded {max_cycles} cycles")
-        finally:
-            # Write back on every exit path so a CrashError/TimeoutError
-            # leaves the same state repeated step() calls would.
-            self.pc = pc
-            self.cycles = cycles
-            self.halted = halted
 
     def run(self, fault=None):
         """Run to completion.

@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
-from repro.arch.cpu import CPU, CrashError
+from repro.arch.cpu import CPU, STATE_ELEMENTS, CrashError
+from repro.arch.isa import N_REGISTERS
 from repro.runtime import CampaignRunner, stable_digest
 
 #: Trial-execution engines: the vectorized engine and its oracle.
@@ -71,16 +72,16 @@ GOLDEN_MAX_CYCLES = 1_000_000
 MAX_AUTO_SNAPSHOTS = 256
 
 #: Per-process cache of built batched engines, keyed by injector
-#: fingerprint.  Transports re-pickle the injector per submitted task
-#: (``__getstate__`` drops the engine to keep submissions small), so
-#: without this every task landing in a worker process would rebuild
-#: the golden-effect arrays and snapshot ladder from scratch; with it,
-#: the first task in a process pays the build and every later task for
-#: a fingerprint-identical injector reuses it (counted by the
-#: ``arch.fi.engine.ladder_reuse`` metric).  Bounded to a handful of
-#: entries — one per distinct program/engine config a worker serves.
+#: fingerprint (counted by the ``arch.fi.engine.ladder_reuse`` metric).
+#: Transports no longer re-pickle the injector per task, but a process
+#: that builds a second fingerprint-identical injector, or a forked tcp
+#: worker whose parent already built the engine, still reuses it
+#: instead of rebuilding.  Bounded to a handful of entries.
 _ENGINE_CACHE_SLOTS = 4
 _ENGINE_CACHE = {}
+
+#: State element -> index into ``STATE_ELEMENTS`` (``pc`` is 16).
+_ELEMENT_INDEX = {name: i for i, name in enumerate(STATE_ELEMENTS)}
 
 
 class Outcome(enum.Enum):
@@ -286,18 +287,23 @@ class FaultInjector:
         """Run trials for ``coords`` (``(cycle, element, bit)`` triples).
 
         Returns one :class:`InjectionRecord` per coordinate, in input
-        order, bit-identical on both engines.  On the batched engine,
-        register trials execute as lanes of one vectorized sweep
-        (:mod:`repro.arch.batched_engine`); ``pc``/``ir`` trials leave
-        the golden trace at the injection cycle itself, so they replay
-        to the injection point and finish on the block-compiled
-        interpreter.
+        order, bit-identical on both engines; the batched engine runs
+        them in one sweep (:mod:`repro.arch.batched_engine`).  Raises
+        :class:`ValueError` before any trial runs, on either engine, for
+        an element outside :meth:`CPU.state_elements` or a bit outside
+        ``0..31``.
         """
         coords = [(cycle, element, bit) for cycle, element, bit in coords]
+        lanes = []
+        for i, (cycle, element, bit) in enumerate(coords):
+            index = _ELEMENT_INDEX.get(element)
+            if index is None or not 0 <= bit < 32:
+                raise ValueError(f"invalid fault coordinate {(cycle, element, bit)!r}")
+            lanes.append((i, cycle, index, bit))
         if self.engine == "reference":
             outcomes = [self._inject_reference(*coord) for coord in coords]
         else:
-            outcomes = self._inject_batched(coords)
+            outcomes = self._inject_batched(lanes)
         records = []
         for (cycle, element, bit), outcome in zip(coords, outcomes):
             pc_at, opcode_at = self._injection_context(cycle)
@@ -307,44 +313,32 @@ class FaultInjector:
         self._emit_trials(records)
         return records
 
-    def _inject_batched(self, coords):
-        """Outcomes for ``coords`` on the vectorized engine, in input order.
+    def _inject_batched(self, lanes):
+        """Outcomes of ``(i, cycle, element_index, bit)`` lanes, in order.
 
-        Register flips at cycles where the register is dead on the
-        golden run (:meth:`live_cycles`) get the golden classification
-        without building a lane: one vectorized mask test per call.
+        Trials outside the golden window, and register flips at cycles
+        where the register is dead on the golden run (:meth:`live_cycles`;
+        one vectorized mask test), get the golden classification unrun;
+        every other trial runs in one :class:`BatchedEngine` sweep.
         """
-        golden = self._classify(self.golden_output, self.golden_cycles)
-        outcomes = [None] * len(coords)
-        lanes = []
-        offtrace = []
-        for i, (cycle, element, bit) in enumerate(coords):
-            if not 0 <= cycle < self.golden_cycles:
-                obs.inc("arch.fi.engine.out_of_window")
-                obs.inc("arch.fi.engine.cycles_skipped", self.golden_cycles)
-                outcomes[i] = golden
-            elif element.startswith("reg"):
-                lanes.append((i, cycle, int(element[3:]), bit))
-            else:
-                offtrace.append((i, cycle, element, bit))
-        if lanes:
-            cycles, regs = np.array([lane[1:3] for lane in lanes]).T
-            live = (self._live_mask[cycles] >> regs.astype(np.uint32)) & 1
-            dead = np.flatnonzero(live == 0)
-            if dead.size:
-                obs.inc("arch.fi.engine.pruned_dead", int(dead.size))
-                for j in dead.tolist():
-                    outcomes[lanes[j][0]] = golden
-                lanes = [lanes[j] for j in np.flatnonzero(live).tolist()]
-        if offtrace:
-            engine = self._batched_engine()
-            obs.inc("arch.fi.engine.batch.offtrace_trials", len(offtrace))
-            for i, cycle, element, bit in offtrace:
-                outcomes[i] = engine.run_offtrace(cycle, element, bit)
-        if lanes:
-            engine = self._batched_engine()
-            with obs.span("arch.cpu.batch", trials=len(lanes)):
-                for i, outcome in engine.run(lanes):
+        n = self.golden_cycles
+        outcomes = [self._classify(self.golden_output, n)] * len(lanes)
+        run = [lane for lane in lanes if 0 <= lane[1] < n]
+        if len(run) < len(lanes):
+            obs.inc("arch.fi.engine.out_of_window", len(lanes) - len(run))
+            obs.inc("arch.fi.engine.cycles_skipped", (len(lanes) - len(run)) * n)
+        if run:
+            cycles, index = np.array([lane[1:3] for lane in run]).T
+            live = (index >= N_REGISTERS) | (
+                self._live_mask[cycles] >> index.astype(np.uint32)
+            ) & 1
+            keep = np.flatnonzero(live)
+            if keep.size < live.size:
+                obs.inc("arch.fi.engine.pruned_dead", live.size - keep.size)
+                run = [run[j] for j in keep.tolist()]
+        if run:
+            with obs.span("arch.cpu.batch", trials=len(run)):
+                for i, outcome in self._batched_engine().run(run):
                     outcomes[i] = outcome
         return outcomes
 
@@ -369,11 +363,9 @@ class FaultInjector:
         """The lazily-built vectorized engine, shared per process.
 
         Looked up in (and inserted into) the module-level
-        :data:`_ENGINE_CACHE` by fingerprint digest, so the unpickled
-        injector copies that arrive with each transport task reuse the
-        engine a previous task already built in this worker process.
-        The fingerprint covers everything that determines a trial's
-        result, which is exactly the reuse-safety contract.
+        :data:`_ENGINE_CACHE` by fingerprint digest.  The fingerprint
+        covers everything that determines a trial's result, which is
+        exactly the reuse-safety contract.
         """
         if self._batched is None:
             key = stable_digest("fi-engine", self.fingerprint())
@@ -393,9 +385,9 @@ class FaultInjector:
     def __getstate__(self):
         """Pickle without the lazy batched engine.
 
-        Chunk workers re-pickle the injector per submitted unit; the
-        engine's precomputed golden-effect arrays would bloat every
-        submit, and rebuilding them in the worker is cheap.
+        Its block interpreter is a generated function, which cannot be
+        pickled; the unpickled copy gets its engine from
+        :data:`_ENGINE_CACHE` or builds it on first use.
         """
         state = dict(self.__dict__)
         state["_batched"] = None

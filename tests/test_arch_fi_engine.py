@@ -233,26 +233,6 @@ class TestUnAce:
 
 
 class TestEngineInternals:
-    def test_run_span_matches_traced_run(self):
-        for prog in P.all_programs():
-            traced = CPU(prog).run()
-            cpu = CPU(prog)
-            cpu.run_span()
-            assert cpu.halted
-            assert cpu.cycles == traced.cycles
-            assert list(cpu.registers) == traced.registers
-            assert cpu.memory == traced.memory
-
-    def test_run_span_stops_at_cycle(self):
-        prog = P.fibonacci(10)
-        cpu = CPU(prog)
-        cpu.run_span(5)
-        assert cpu.cycles == 5 and not cpu.halted
-        stepped = CPU(prog)
-        for _ in range(5):
-            stepped.step()
-        assert cpu.snapshot() == stepped.snapshot()
-
     def test_reset_clears_pending_ir_fault(self):
         # A pending IR fault that is never consumed must not leak into
         # the next run of a reused CPU object.
@@ -270,7 +250,8 @@ class TestEngineInternals:
         for _ in range(10):
             cpu.step()
         snap = cpu.snapshot()
-        cpu.run_span()  # run to completion, mutating state
+        while not cpu.halted:  # run to completion, mutating state
+            cpu.step()
         cpu.restore(snap)
         assert cpu.snapshot() == snap
         assert cpu.cycles == 10
@@ -381,6 +362,48 @@ class TestBatchedEngine:
         assert records[2].outcome is Outcome.MASKED
         assert records[4].outcome is Outcome.MASKED
 
+    def test_hang_tails_step_to_the_budget(self):
+        # Hangs run until the block interpreter nears the cycle budget,
+        # then CPU.step delivers the cycle-exact timeout: a diverged
+        # register lane and a pc/ir start each end in one scalar tail.
+        ref, batched = _pair(P.fibonacci(10))
+        coords = [(54, "reg4", 28), (19, "reg4", 14), (0, "pc", 3),
+                  (58, "ir", 5)]
+        with obs.collecting():
+            records = batched.inject_many(coords)
+            counters = obs.metrics_snapshot()["counters"]
+        assert records == ref.inject_many(coords)
+        assert {r.outcome for r in records} == {Outcome.HANG}
+        assert counters["arch.fi.engine.batch.scalar_tails"] == 4
+
+    def test_pc_ir_only_batch_matches_reference(self):
+        # No register lane activates, so every injection cycle of the
+        # sweep starts only scalar pc/ir trials.
+        ref, batched = _pair(P.fibonacci(10))
+        n = ref.golden_cycles
+        coords = [(c, el, b) for c in (0, 7, 7, n // 2, n - 1)
+                  for el in ("pc", "ir") for b in (0, 5, 31)]
+        with obs.collecting():
+            records = batched.inject_many(coords)
+            counters = obs.metrics_snapshot()["counters"]
+        assert records == ref.inject_many(coords)
+        assert counters["arch.fi.engine.batch.offtrace_trials"] == len(coords)
+        assert counters["arch.fi.engine.batch.lanes"] == 0
+
+    def test_pc_ir_and_register_lanes_share_a_cycle(self):
+        ref, batched = _pair(P.fibonacci(10))
+        live = batched.live_cycles("reg4").tolist()
+        coords = [
+            (c, el, b) for c in live[1::9]
+            for el, b in (("pc", 2), ("reg4", 3), ("ir", 20), ("reg4", 30))
+        ]
+        with obs.collecting():
+            records = batched.inject_many(coords)
+            counters = obs.metrics_snapshot()["counters"]
+        assert records == ref.inject_many(coords)
+        assert counters["arch.fi.engine.batch.offtrace_trials"] == len(coords) // 2
+        assert counters["arch.fi.engine.batch.lanes"] == len(coords) // 2
+
     def test_batch_occupancy_metrics(self):
         program = P.dot_product(8)
         batched = FaultInjector(program, engine="batched")
@@ -427,3 +450,18 @@ class TestBatchedEngine:
         assert stats["snapshot_interval"] >= 1
         assert stats["golden_cycles"] == inj.golden_cycles
         assert stats["max_cycles"] == inj.max_cycles
+
+
+class TestCoordinateValidation:
+    """Both engines reject a coordinate no trial can inject, wherever it
+    sits in the batch or the golden window."""
+
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    @pytest.mark.parametrize("coord", [
+        (4, "reg1", 40), (4, "reg1", 32), (4, "reg1", -1),
+        (5, "reg16", 1), (5, "r1", 1), (10_000, "reg3", 32),
+    ])
+    def test_invalid_coordinate_raises(self, engine, coord):
+        injector = FaultInjector(P.checksum(8), engine=engine)
+        with pytest.raises(ValueError, match="invalid fault coordinate"):
+            injector.inject_many([(3, "reg2", 1), coord])
