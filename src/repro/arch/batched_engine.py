@@ -1,11 +1,12 @@
 """Trial-vectorized fault-injection engine (batched suffix replay).
 
-The golden run (:mod:`repro.arch.fault_injection`) leaves a ladder of
-architectural snapshots, so a trial never re-executes the fault-free
-prefix; this module makes the post-fault suffix cheap by replaying
-*many* trials' suffixes together.  The key observation: until its
-control flow diverges, a faulty run executes exactly the golden PC
-trace — only register and memory *values* differ.  So a whole batch of
+A trial never re-executes the fault-free prefix: one golden recording
+pass stores each cycle's architectural effects, so golden state at any
+cycle is a cheap fast-forward from power-on.  This module makes the
+post-fault suffix cheap by replaying *many* trials' suffixes together.
+The key observation: until its control flow diverges, a faulty run
+executes exactly the golden PC trace — only register and memory
+*values* differ.  So a whole batch of
 trials can march down the golden trace in lockstep, as columns
 ("lanes") of one ``(16, L)`` numpy register array, with each
 instruction applied to every lane at once (per-opcode masked updates,
@@ -28,10 +29,10 @@ Lanes *activate* at their injection cycle (before it, their state is
 golden by definition, so no work is simulated), and retire by
 swap-remove, so the active width tracks the genuinely-divergent
 population — usually a handful of SDC lanes — rather than the batch
-size.  When the batch empties, the sweep jumps forward to the next
-injection cycle by restoring golden state from the snapshot ladder and
-fast-forwarding with precomputed per-cycle effect arrays instead of
-executing instructions.
+size.  Each sweep starts at power-on (zero registers, no stores, cycle
+0); whenever the batch is empty it jumps forward to the next injection
+cycle by applying the precomputed per-cycle effect arrays to golden
+state instead of executing instructions.
 
 ``pc``/``ir`` trials leave the trace at once, so they never become
 lanes: each starts from the golden state the sweep holds at its cycle,
@@ -78,7 +79,7 @@ _BRANCH_SUB = {Opcode.BEQ: 0, Opcode.BNE: 1, Opcode.BLT: 2}
 class BatchedEngine:
     """Vectorized lockstep executor over one injector's golden trace.
 
-    Built lazily (and per worker process) by
+    Built lazily, once per injector object, by
     :meth:`repro.arch.fault_injection.FaultInjector.inject_many`; one
     golden recording pass precomputes, per cycle, the decoded
     instruction and the golden run's architectural effects — written
@@ -104,42 +105,43 @@ class BatchedEngine:
 
         cpu = CPU(program, max_cycles=n + 1)
         c = 0
-        while not cpu.halted:
-            instr = instructions[cpu.pc]
-            op = instr.opcode
-            if op in ARITH_OPS:
-                ops.append((_ARITH, instr.rd, instr.rs1, instr.rs2,
-                            _ARITH_SUB[op]))
-            elif op is Opcode.ADDI:
-                ops.append((_ADDI, instr.rd, instr.rs1,
-                            U64(instr.imm & WORD_MASK)))
-            elif op is Opcode.LUI:
-                ops.append((_LUI, instr.rd, U64(instr.imm & WORD_MASK)))
-            elif op is Opcode.LD:
-                ops.append((_LD, instr.rd, instr.rs1,
-                            U64(instr.imm & WORD_MASK)))
-                g_ldaddr[c] = (cpu.registers[instr.rs1] + instr.imm) & WORD_MASK
-            elif op is Opcode.ST:
-                ops.append((_ST, instr.rs1, instr.rs2,
-                            U64(instr.imm & WORD_MASK)))
-                g_staddr[c] = (cpu.registers[instr.rs1] + instr.imm) & WORD_MASK
-                g_stval[c] = cpu.registers[instr.rs2]
-            elif op in _BRANCH_SUB and instr.imm != 0:
-                ops.append((_BRANCH, instr.rs1, instr.rs2, instr.imm,
-                            _BRANCH_SUB[op]))
-            elif op is Opcode.HALT:
-                ops.append((_HALT,))
-            else:  # NOP, JMP, zero-offset branches: lane state untouched
-                ops.append((_NOP,))
-            prev_pc = cpu.pc
-            cpu.step()
-            written = instr.writes
-            if written:  # writes to r0 are dropped: golden value unchanged
-                g_written[c] = written
-                g_value[c] = cpu.registers[written]
-            if op in _BRANCH_SUB:
-                g_taken[c] = cpu.pc != prev_pc + 1
-            c += 1
+        with obs.span("arch.golden", program=program.name):
+            while not cpu.halted:
+                instr = instructions[cpu.pc]
+                op = instr.opcode
+                if op in ARITH_OPS:
+                    ops.append((_ARITH, instr.rd, instr.rs1, instr.rs2,
+                                _ARITH_SUB[op]))
+                elif op is Opcode.ADDI:
+                    ops.append((_ADDI, instr.rd, instr.rs1,
+                                U64(instr.imm & WORD_MASK)))
+                elif op is Opcode.LUI:
+                    ops.append((_LUI, instr.rd, U64(instr.imm & WORD_MASK)))
+                elif op is Opcode.LD:
+                    ops.append((_LD, instr.rd, instr.rs1,
+                                U64(instr.imm & WORD_MASK)))
+                    g_ldaddr[c] = (cpu.registers[instr.rs1] + instr.imm) & WORD_MASK
+                elif op is Opcode.ST:
+                    ops.append((_ST, instr.rs1, instr.rs2,
+                                U64(instr.imm & WORD_MASK)))
+                    g_staddr[c] = (cpu.registers[instr.rs1] + instr.imm) & WORD_MASK
+                    g_stval[c] = cpu.registers[instr.rs2]
+                elif op in _BRANCH_SUB and instr.imm != 0:
+                    ops.append((_BRANCH, instr.rs1, instr.rs2, instr.imm,
+                                _BRANCH_SUB[op]))
+                elif op is Opcode.HALT:
+                    ops.append((_HALT,))
+                else:  # NOP, JMP, zero-offset branches: lane state untouched
+                    ops.append((_NOP,))
+                prev_pc = cpu.pc
+                cpu.step()
+                written = instr.writes
+                if written:  # writes to r0 are dropped: golden value unchanged
+                    g_written[c] = written
+                    g_value[c] = cpu.registers[written]
+                if op in _BRANCH_SUB:
+                    g_taken[c] = cpu.pc != prev_pc + 1
+                c += 1
 
         self._ops = ops
         self._g_written = g_written
@@ -162,8 +164,6 @@ class BatchedEngine:
         """
         inj = self._inj
         n_cycles = inj.golden_cycles
-        interval = inj.snapshot_interval
-        snapshots = inj._snapshots
         ops = self._ops
         g_written = self._g_written
         g_value = self._g_value
@@ -180,14 +180,16 @@ class BatchedEngine:
         keys = [None] * total
         results = []
 
-        golden = None  # golden register file at cycle ``c`` (np array)
-        g_overlay = {}  # golden memory overlay at cycle ``c``
+        # Golden state at cycle ``c``, from power-on: the register file
+        # and the memory overlay of golden stores.
+        golden = np.zeros(N_REGISTERS, U64)
+        g_overlay = {}
         c = 0
         k = 0  # active lane count (columns [0:k) of ``regs``)
         p = 0  # next lane to activate
         n_dirty = 0  # active lanes with a non-empty memory delta
 
-        m_groups = m_skipped = m_replayed = m_off = 0
+        m_groups = m_replayed = m_off = 0
         m_vec_cycles = m_lane_cycles = m_div = 0
 
         def golden_mem(addr):
@@ -233,16 +235,9 @@ class BatchedEngine:
         while p < total or k:
             if k == 0:
                 # Batch is empty: jump straight to the next injection
-                # cycle, fast-forwarding golden state from the nearest
-                # snapshot (or the current position) via the
+                # cycle, fast-forwarding golden state via the
                 # precomputed effect arrays — no instruction executes.
                 target = lanes[p][1]
-                snap = snapshots[target // interval]
-                if golden is None or snap.cycles > c:
-                    m_skipped += snap.cycles - c
-                    golden = np.array(snap.registers, U64)
-                    g_overlay = dict(snap.mem_overlay)
-                    c = snap.cycles
                 m_groups += 1
                 m_replayed += target - c
                 for cc in range(c, target):
@@ -438,7 +433,6 @@ class BatchedEngine:
         obs.inc("arch.fi.engine.batch.vector_cycles", m_vec_cycles)
         obs.inc("arch.fi.engine.batch.lane_cycles", m_lane_cycles)
         obs.inc("arch.fi.engine.batch.divergences", m_div)
-        obs.inc("arch.fi.engine.cycles_skipped", m_skipped)
         obs.inc("arch.fi.engine.cycles_replayed", m_replayed)
         return results
 

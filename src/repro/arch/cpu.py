@@ -17,8 +17,8 @@ chosen cycle, mid-execution.  Outcomes are classified by the caller
 Data memory is a copy-on-write overlay over the program's (immutable)
 initial image: stores land in a small per-run overlay dict, loads fall
 through to the initial image.  That makes :meth:`CPU.snapshot` /
-:meth:`CPU.restore` — the primitives behind the batched fault-injection
-engine's snapshot ladder and its scalar ``pc``/``ir`` starts and tails —
+:meth:`CPU.restore` — the primitive behind the batched fault-injection
+engine's scalar ``pc``/``ir`` starts and tails —
 O(registers + stores so far) instead of O(total memory footprint).
 
 :meth:`CPU.step` is the one scalar interpreter: the ``reference`` engine,

@@ -23,10 +23,10 @@ Trial execution runs on one of two engines (``engine=``):
 * ``"batched"`` (default) — trial-vectorized suffix replay: register
   flips into a register the golden run overwrites before reading (the
   un-ACE coordinates of a per-cycle liveness mask) are answered
-  ``MASKED`` without running; the single
-  golden run leaves a ladder of architectural snapshots, and whole
-  chunks of trials march down the golden PC trace in lockstep as numpy
-  lanes, with per-opcode masked updates; a lane retires when it halts
+  ``MASKED`` without running; whole chunks of trials march down the
+  golden PC trace in lockstep as numpy lanes, with per-opcode masked
+  updates, after one sweep fast-forwards golden state from power-on to
+  each lane's injection cycle; a lane retires when it halts
   in lockstep or crashes, and lanes whose control flow diverges from
   the golden trace finish on the block-compiled interpreter
   (:mod:`repro.arch.batched_engine`).
@@ -52,7 +52,7 @@ import numpy as np
 from repro import obs
 from repro.arch.cpu import CPU, STATE_ELEMENTS, CrashError
 from repro.arch.isa import N_REGISTERS
-from repro.runtime import CampaignRunner, stable_digest
+from repro.runtime import CampaignRunner
 
 #: Trial-execution engines: the vectorized engine and its oracle.
 ENGINES = ("batched", "reference")
@@ -65,20 +65,6 @@ BATCHED_CHUNK_SIZE = 1024
 
 #: Cycle budget for the golden (fault-free) characterization run.
 GOLDEN_MAX_CYCLES = 1_000_000
-
-#: Snapshot-ladder cap under adaptive intervals: when the golden run
-#: outgrows it, every other snapshot is dropped and the interval
-#: doubles, bounding memory at O(cap) snapshots for any program length.
-MAX_AUTO_SNAPSHOTS = 256
-
-#: Per-process cache of built batched engines, keyed by injector
-#: fingerprint (counted by the ``arch.fi.engine.ladder_reuse`` metric).
-#: Transports no longer re-pickle the injector per task, but a process
-#: that builds a second fingerprint-identical injector, or a forked tcp
-#: worker whose parent already built the engine, still reuses it
-#: instead of rebuilding.  Bounded to a handful of entries.
-_ENGINE_CACHE_SLOTS = 4
-_ENGINE_CACHE = {}
 
 #: State element -> index into ``STATE_ELEMENTS`` (``pc`` is 16).
 _ELEMENT_INDEX = {name: i for i, name in enumerate(STATE_ELEMENTS)}
@@ -173,11 +159,6 @@ class FaultInjector:
         Trial-execution engine: ``"batched"`` (default; trial-vectorized
         suffix replay) or ``"reference"`` (full rerun from cycle 0, the
         equivalence oracle).  Both produce bit-identical records.
-
-    The golden-state snapshot interval adapts: it starts at 1 and
-    doubles whenever the ladder outgrows :data:`MAX_AUTO_SNAPSHOTS`, so
-    short programs checkpoint densely and long ones stay bounded.  The
-    resolved value is exposed as ``snapshot_interval``.
     """
 
     def __init__(self, program, max_cycles_factor=4.0, symptom_tolerance=0.02,
@@ -188,42 +169,28 @@ class FaultInjector:
         self.engine = engine
         self.symptom_tolerance = symptom_tolerance
         self.last_run_stats = None  # RunStats of the most recent campaign
-        self._batched = None  # lazy BatchedEngine (per process; unpickled)
+        self._batched = None  # lazy BatchedEngine (per object; unpickled)
 
-        # One golden run produces everything the trials need: the output
-        # words and cycle count, the per-cycle PC trace (which instruction
-        # was in flight at each cycle — pattern mining and the selective
-        # replication flow key on it), and the batched engine's ladder of
-        # architectural snapshots.
+        # One golden run produces the output words, the cycle count and
+        # the per-cycle PC trace (which instruction was in flight at each
+        # cycle — pattern mining and the selective replication flow key
+        # on it).
         cpu = CPU(program, max_cycles=GOLDEN_MAX_CYCLES)
-        interval = 1
-        snapshots = []
         trace = []
-        while not cpu.halted:
-            if cpu.cycles % interval == 0:
-                snapshots.append(cpu.snapshot())
-                if len(snapshots) > MAX_AUTO_SNAPSHOTS:
-                    snapshots = snapshots[::2]
-                    interval *= 2
-            trace.append(cpu.pc)
-            cpu.step()
+        with obs.span("arch.golden", program=program.name):
+            while not cpu.halted:
+                trace.append(cpu.pc)
+                cpu.step()
         self.golden_output = cpu.output(program.output_range)
         self.golden_cycles = cpu.cycles
         self.golden_pc_trace = trace
         self.max_cycles = max(int(cpu.cycles * max_cycles_factor), cpu.cycles + 64)
-        self.snapshot_interval = interval
-        self._snapshots = snapshots
         self._live_mask = self._golden_liveness(trace)
         # Trials restore into one reusable CPU instead of building a fresh
         # simulator per injection.
         self._trial_cpu = CPU(program, max_cycles=self.max_cycles)
-        obs.inc("arch.fi.engine.snapshots", len(snapshots))
-        obs.emit(
-            "fi.ladder",
-            engine=self.engine, program=program.name,
-            golden_cycles=self.golden_cycles, snapshots=len(snapshots),
-            snapshot_interval=interval,
-        )
+        obs.emit("fi.golden", engine=self.engine, program=program.name,
+                 golden_cycles=self.golden_cycles)
 
     def _golden_liveness(self, trace):
         """Golden live-in register bitmask at every cycle (``uint32``).
@@ -326,7 +293,6 @@ class FaultInjector:
         run = [lane for lane in lanes if 0 <= lane[1] < n]
         if len(run) < len(lanes):
             obs.inc("arch.fi.engine.out_of_window", len(lanes) - len(run))
-            obs.inc("arch.fi.engine.cycles_skipped", (len(lanes) - len(run)) * n)
         if run:
             cycles, index = np.array([lane[1:3] for lane in run]).T
             live = (index >= N_REGISTERS) | (
@@ -360,34 +326,18 @@ class FaultInjector:
                  items=rows)
 
     def _batched_engine(self):
-        """The lazily-built vectorized engine, shared per process.
-
-        Looked up in (and inserted into) the module-level
-        :data:`_ENGINE_CACHE` by fingerprint digest.  The fingerprint
-        covers everything that determines a trial's result, which is
-        exactly the reuse-safety contract.
-        """
+        """The vectorized engine, built on first use."""
         if self._batched is None:
-            key = stable_digest("fi-engine", self.fingerprint())
-            engine = _ENGINE_CACHE.get(key)
-            if engine is None:
-                from repro.arch.batched_engine import BatchedEngine
+            from repro.arch.batched_engine import BatchedEngine
 
-                engine = BatchedEngine(self)
-                while len(_ENGINE_CACHE) >= _ENGINE_CACHE_SLOTS:
-                    _ENGINE_CACHE.pop(next(iter(_ENGINE_CACHE)))
-                _ENGINE_CACHE[key] = engine
-            else:
-                obs.inc("arch.fi.engine.ladder_reuse")
-            self._batched = engine
+            self._batched = BatchedEngine(self)
         return self._batched
 
     def __getstate__(self):
         """Pickle without the lazy batched engine.
 
         Its block interpreter is a generated function, which cannot be
-        pickled; the unpickled copy gets its engine from
-        :data:`_ENGINE_CACHE` or builds it on first use.
+        pickled; the unpickled copy builds its own engine on first use.
         """
         state = dict(self.__dict__)
         state["_batched"] = None
@@ -438,19 +388,17 @@ class FaultInjector:
         }
 
     def engine_stats(self):
-        """Engine choice plus snapshot-ladder statistics.
+        """Engine choice plus the golden run's length and the hang budget.
 
         The ``fi`` experiment stores this in its run record so a report
         can explain where a campaign's time went (which engine actually
-        ran, how dense the checkpoint ladder was) without re-deriving
-        it from the program.
+        ran, how long the golden run it fast-forwards through is)
+        without re-deriving it from the program.
         """
         return {
             "engine": self.engine,
             "golden_cycles": self.golden_cycles,
             "max_cycles": self.max_cycles,
-            "snapshots": len(self._snapshots),
-            "snapshot_interval": self.snapshot_interval,
         }
 
     def _campaign(self, worker, n_trials, seed, key_parts, jobs, cache, progress,

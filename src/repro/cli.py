@@ -198,9 +198,7 @@ def run_fi(args):
         )
     stats = injector.engine_stats()
     print(
-        f"engine: {stats['engine']}, "
-        f"{stats['snapshots']} snapshots @ interval "
-        f"{stats['snapshot_interval']}, golden {stats['golden_cycles']} "
+        f"engine: {stats['engine']}, golden {stats['golden_cycles']} "
         f"cycles (budget {stats['max_cycles']})"
     )
     resolved = {"fi_engine": stats}
@@ -825,7 +823,7 @@ def _run_recorded(name, args):
             resolved = EXPERIMENTS[name](args)
         if isinstance(resolved, dict):
             # Resolved runtime choices (e.g. the fi engine and its
-            # snapshot-ladder shape) so `report` can explain
+            # golden-run length) so `report` can explain
             # where a campaign's time went.
             recorder.config["resolved"] = resolved
     print(f"run record: {recorder.path}")

@@ -44,7 +44,8 @@ Emitted event types (see ``docs/observability.md`` for the full table):
                           emitted per executed unit, and relayed from
                           tcp workers' heartbeat messages with their
                           reporting lag (``lag_s``)
-``fi.ladder``             snapshot-ladder stats of a FI engine build
+``fi.golden``             a FI injector's golden run (``engine``,
+                          ``program``, ``golden_cycles``)
 ``fi.trials``             per-trial FI rows: ``items`` is a list of
                           ``[cycle, element, bit, outcome]`` coordinates +
                           classifications (one row per trial, framed per

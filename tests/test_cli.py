@@ -122,6 +122,28 @@ class TestMain:
         assert "engine" not in config
         assert config["resolved"]["fi_engine"]["engine"] == "reference"
 
+    def test_fi_recorded_run_spans_both_golden_passes(self, capsys, tmp_path,
+                                                      monkeypatch):
+        """The injector's golden run and the batched engine's effect
+        recording each show as an ``arch.golden`` span."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runs = tmp_path / "runs"
+        assert main(["fi", "--trials", "32", "--no-cache",
+                     "--record", str(runs)]) == 0
+        assert "engine: batched, golden " in capsys.readouterr().out
+        from repro.obs import load_run_record
+
+        parents = []
+
+        def walk(node):
+            for child in node.get("children", ()):
+                if child["name"] == "arch.golden":
+                    parents.append(node["name"])
+                walk(child)
+
+        walk(load_run_record(runs)["spans"]["root"])
+        assert sorted(parents) == ["arch.cpu.batch", "cli.fi"]
+
     def test_fi_parallel_recorded_run_reconciles(self, capsys, tmp_path,
                                                  monkeypatch):
         """A recorded --jobs 2 campaign runs on forked tcp workers, and

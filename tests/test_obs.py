@@ -232,6 +232,10 @@ class TestFaultInjectionSpans:
         from repro.arch import programs as P
 
         injector = FaultInjector(P.fibonacci(6))
+        # The batched engine's one-time build is an ``arch.golden`` span
+        # in the first campaign to use it in a process.  Build it first
+        # so both trees show campaign work only.
+        injector._batched_engine()
         obs.enable()
         injector.run_campaign(n_trials=64, seed=2, jobs=1)
         serial = span_shape(obs.span_tree())

@@ -283,11 +283,11 @@ class TestRecorderEventStream:
         assert len(rows) == 48
         histogram = record["outcomes"]["histogram"]
         assert Counter(r[3] for r in rows) == Counter(histogram)
-        ladders = [e for e in events if e["ev"] == "fi.ladder"]
+        goldens = [e for e in events if e["ev"] == "fi.golden"]
         # The injector was built before recording started, so only the
         # trial frames are present; coordinates must be complete tuples.
         assert all(len(r) == 4 for r in rows)
-        assert ladders == []
+        assert goldens == []
 
     def test_fi_ladder_event_when_built_under_recording(self, tmp_path):
         from repro.arch import FaultInjector
@@ -295,11 +295,11 @@ class TestRecorderEventStream:
 
         with RunRecorder(tmp_path, name="fi") as recorder:
             injector = FaultInjector(P.fibonacci(6))
-        (ladder,) = [e for e in read_events(recorder.events_path)
-                     if e["ev"] == "fi.ladder"]
-        assert ladder["engine"] == injector.engine
-        assert ladder["golden_cycles"] == injector.golden_cycles
-        assert ladder["snapshots"] == len(injector._snapshots)
+        (golden,) = [e for e in read_events(recorder.events_path)
+                     if e["ev"] == "fi.golden"]
+        assert golden["engine"] == injector.engine
+        assert golden["program"] == injector.program.name
+        assert golden["golden_cycles"] == injector.golden_cycles
 
     def test_engine_rows_are_identical_across_engines(self, tmp_path):
         from repro.arch import FaultInjector
