@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.arch.block_interp import CRASHED, HALTED, BlockProgram
+from repro.arch.block_interp import AT_HEADER, CRASHED, HALTED, BlockProgram
 from repro.arch.cpu import CPU, CPUSnapshot, CrashError, MEMORY_LIMIT, STATE_ELEMENTS
 
 # Safe despite the mutual relationship: fault_injection only imports
@@ -95,13 +95,15 @@ class BatchedEngine:
         n = injector.golden_cycles
         instructions = program.instructions
 
+        # Plain lists, not numpy arrays: the sweep reads them one cycle
+        # at a time, and a list index costs a fraction of an array's.
         ops = []
-        g_written = np.full(n, -1, np.int64)
-        g_value = np.zeros(n, U64)
-        g_ldaddr = np.full(n, -1, np.int64)
-        g_staddr = np.full(n, -1, np.int64)
-        g_stval = np.zeros(n, U64)
-        g_taken = np.zeros(n, bool)
+        g_written = [-1] * n
+        g_value = [0] * n
+        g_ldaddr = [-1] * n
+        g_staddr = [-1] * n
+        g_stval = [0] * n
+        g_taken = [False] * n
 
         cpu = CPU(program, max_cycles=n + 1)
         c = 0
@@ -153,6 +155,10 @@ class BatchedEngine:
         self._mem_base = program.initial_memory
         self._trace = injector.golden_pc_trace
         self._block = BlockProgram(program)
+        # A lane is first offered to a loop's hang certificate once it
+        # has run as long as the whole golden run.
+        self._arm0 = (n,) * len(self._block.headers)
+        self._counts = [0, 0, 0]  # hangs proven, cycles skipped, block cycles
 
     def run(self, lanes):
         """Execute trial lanes and return ``[(key, Outcome), ...]``.
@@ -240,13 +246,16 @@ class BatchedEngine:
                 target = lanes[p][1]
                 m_groups += 1
                 m_replayed += target - c
+                last = {}  # register -> its last golden write in the gap
                 for cc in range(c, target):
                     written = g_written[cc]
                     if written >= 0:
-                        golden[written] = g_value[cc]
+                        last[written] = g_value[cc]
                     staddr = g_staddr[cc]
                     if staddr >= 0:
-                        g_overlay[int(staddr)] = int(g_stval[cc])
+                        g_overlay[staddr] = g_stval[cc]
+                for written, value in last.items():
+                    golden[written] = value
                 c = target
 
             while p < total and lanes[p][1] == c:
@@ -315,7 +324,7 @@ class BatchedEngine:
                         continue
                     addr = (regs[rs1, :k] + imm) & _MASK
                 if rd:
-                    g_addr = int(self._g_ldaddr[c])
+                    g_addr = self._g_ldaddr[c]
                     g_val = g_value[c]
                     if n_dirty == 0:
                         hit = addr == U64(g_addr)
@@ -345,14 +354,13 @@ class BatchedEngine:
                         results.append((keys[j], Outcome.CRASH))
                         retire(j)
                     if k == 0:
-                        g_addr = int(g_staddr[c])
-                        g_overlay[g_addr] = int(g_stval[c])
+                        g_overlay[g_staddr[c]] = g_stval[c]
                         c += 1
                         continue
                     addr = (regs[rs1, :k] + imm) & _MASK
                 value = regs[rs2, :k]
-                g_addr = int(g_staddr[c])
-                g_val = int(g_stval[c])
+                g_addr = g_staddr[c]
+                g_val = g_stval[c]
                 dirty = (addr != U64(g_addr)) | (value != U64(g_val))
                 if n_dirty or dirty.any():
                     # Keep deltas canonical: an entry exists iff the
@@ -397,7 +405,7 @@ class BatchedEngine:
                     cond = a != b
                 else:  # BLT: signed compare via bias trick
                     cond = (a ^ _SIGN) < (b ^ _SIGN)
-                taken = bool(g_taken[c])
+                taken = g_taken[c]
                 div = ~cond if taken else cond
                 if div.any():
                     # Divergent lanes take the non-golden direction.
@@ -434,6 +442,13 @@ class BatchedEngine:
         obs.inc("arch.fi.engine.batch.lane_cycles", m_lane_cycles)
         obs.inc("arch.fi.engine.batch.divergences", m_div)
         obs.inc("arch.fi.engine.cycles_replayed", m_replayed)
+        counts = self._counts
+        if counts[0]:
+            obs.inc("arch.fi.engine.hangs_proven", counts[0])
+            obs.inc("arch.fi.engine.hang_cycles_skipped", counts[1])
+        if counts[2]:
+            obs.inc("arch.fi.engine.block_cycles", counts[2])
+        counts[:] = [0, 0, 0]
         return results
 
     def _run_scalar(self, golden, g_overlay, cycle, element, bit):
@@ -460,22 +475,47 @@ class BatchedEngine:
     def _finish_block(self, regs_list, overlay, pc, cycles):
         """Finish an off-trace trial via the compiled block runner.
 
-        A near-budget (or off-dispatch) return bounces to
-        :meth:`CPU.step` for at most one maximal block, so the
-        cycle-exact timeout and halt-at-budget semantics are the
-        reference engine's.
+        At a certifiable loop header past its arm, the runner stops and
+        the loop's hang certificate (:mod:`repro.arch.loop_cert`) runs:
+        if no exit or crash can come before the budget, the trial is
+        ``HANG`` at once; otherwise the header is re-armed where the
+        first possible exit leaves too few iterations to reach the
+        budget, and the runner resumes.  A near-budget (or
+        off-dispatch) return bounces to :meth:`CPU.step` for at most
+        one maximal block, so the cycle-exact timeout and
+        halt-at-budget semantics are the reference engine's.
         """
         inj = self._inj
-        status, pc2, cyc2, out_regs = self._block.run(
-            regs_list, overlay, self._mem_base, pc, cycles, inj.max_cycles
-        )
+        block = self._block
+        max_cycles = inj.max_cycles
+        counts = self._counts
+        arm = self._arm0
+        start = cycles
+        while True:
+            status, pc, cycles, out_regs = block.run(
+                regs_list, overlay, self._mem_base, pc, cycles, max_cycles, arm
+            )
+            if status != AT_HEADER:
+                break
+            check, min_len = block.loops.checks[pc]
+            limit = -((cycles - max_cycles) // min_len)
+            first = check(out_regs, limit)
+            if first >= limit:
+                counts[0] += 1
+                counts[1] += max_cycles - cycles
+                counts[2] += cycles - start
+                return Outcome.HANG
+            arm = list(arm)
+            arm[block.headers.index(pc)] = max_cycles - first * min_len
+            regs_list = out_regs
+        counts[2] += cycles - start
         if status == HALTED:
-            return inj._classify(self._output_from(overlay), cyc2)
+            return inj._classify(self._output_from(overlay), cycles)
         if status == CRASHED:
             return Outcome.CRASH
         obs.inc("arch.fi.engine.batch.scalar_tails")
         inj._trial_cpu.restore(CPUSnapshot(
-            registers=tuple(out_regs), pc=pc2, cycles=cyc2,
+            registers=tuple(out_regs), pc=pc, cycles=cycles,
             halted=False, mem_overlay=overlay, ir_fault=0,
         ))
         return self._step()

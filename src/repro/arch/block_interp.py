@@ -3,13 +3,18 @@
 Once a trial's control flow leaves the golden PC trace, the batched
 engine (:mod:`repro.arch.batched_engine`) can no longer step it in
 lockstep with the other lanes — and the scalar interpreter pays ~1 µs
-of Python dispatch per simulated cycle, which makes hang trials (which
-must run to the cycle budget to prove they hang) the dominant cost of a
-campaign.  This module removes most of that dispatch: it compiles a
-program's static control-flow graph into one generated Python function
-whose basic blocks are straight-line code over register *locals*
-(``r1`` … ``r15``; ``r0`` folds to the literal ``0``), re-dispatching
-on the PC only at block boundaries.
+of Python dispatch per simulated cycle, which would make off-trace
+suffixes the dominant cost of a campaign.  This module removes most of
+that dispatch: it compiles a program's static control-flow graph into
+one generated Python function whose basic blocks are straight-line code
+over register *locals* (``r1`` … ``r15``; ``r0`` folds to the literal
+``0``), re-dispatching on the PC only at block boundaries.
+
+At the header of every loop that :mod:`repro.arch.loop_cert` can
+certify, the runner checks the cycle count against that header's arm
+(one entry of its ``arm`` tuple) and, once it is reached, returns
+``AT_HEADER`` so the caller can try to prove the hang instead of
+running it to the budget.
 
 Semantics mirror :meth:`repro.arch.cpu.CPU.step` exactly — same
 32-bit masking, signed-compare branches, copy-on-write memory overlay,
@@ -32,9 +37,10 @@ from __future__ import annotations
 
 from repro.arch.cpu import MEMORY_LIMIT
 from repro.arch.isa import WORD_MASK, Opcode
+from repro.arch.loop_cert import LoopCertificates
 
 #: Status codes returned by a compiled runner (first tuple element).
-HALTED, CRASHED, NEAR_BUDGET, OFF_DISPATCH = range(4)
+HALTED, CRASHED, NEAR_BUDGET, OFF_DISPATCH, AT_HEADER = range(5)
 
 _TERMINATORS = (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.JMP, Opcode.HALT)
 _BRANCHES = (Opcode.BEQ, Opcode.BNE, Opcode.BLT)
@@ -55,12 +61,17 @@ class BlockProgram:
         Frozenset of basic-block entry PCs; :meth:`run` may only be
         entered at one of these (callers scalar-step to a leader
         first).
+    loops:
+        The program's :class:`repro.arch.loop_cert.LoopCertificates`.
+    headers:
+        Certifiable loop headers, in the order of the runner's ``arm``
+        tuple.
     source:
         The generated Python source, kept for debugging.
     """
 
     def __init__(self, program):
-        """Build the CFG, generate source, and compile the runner."""
+        """Build the CFG and its loop analysis, then compile the runner."""
         instrs = program.instructions
         n = len(instrs)
         leaders = {0}
@@ -73,6 +84,8 @@ class BlockProgram:
                     if 0 <= target < n:
                         leaders.add(target)
         self.leaders = frozenset(leaders)
+        self.loops = LoopCertificates(program, self.leaders)
+        self.headers = sorted(self.loops.checks)
         ordered = sorted(leaders)
         blocks = {}
         max_len = 1
@@ -82,9 +95,14 @@ class BlockProgram:
             max_len = max(max_len, length)
 
         out = [
-            "def _run(regs, overlay, base, pc, cycles, max_cycles):",
+            "def _run(regs, overlay, base, pc, cycles, max_cycles, arm):",
             "    _, r1, r2, r3, r4, r5, r6, r7, "
             "r8, r9, r10, r11, r12, r13, r14, r15 = regs",
+        ]
+        if self.headers:
+            out.append("    " + "".join(
+                f"a{h}, " for h in self.headers) + "= arm")
+        out += [
             "    ov = overlay",
             "    bget = base.get",
             "    while True:",
@@ -119,6 +137,11 @@ class BlockProgram:
         instrs = program.instructions
         n = len(instrs)
         lines = []
+        if leader in self.loops.checks:
+            lines.append(f"if cycles >= a{leader}:")
+            lines.append(
+                f"    return ({AT_HEADER}, {leader}, cycles, {_REGS_TUPLE})"
+            )
         i = leader
         length = 0
         while True:

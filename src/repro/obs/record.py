@@ -262,7 +262,9 @@ def verify_record(run_dir):
     Every run needs the current schema, status ``ok``, no dropped events
     and non-empty span and metric lines.  An ``fi`` run must also span
     >= 3 layers, have one ``fi.trials`` row per histogram entry and hold
-    its configured (steered: executed) trial count.  A steered run's
+    its configured (steered: executed) trial count, and prove no more
+    hangs (``arch.fi.engine.hangs_proven``) than it has ``HANG`` rows.
+    A steered run's
     ``steer.*`` events and ``arch.fi.steering.*`` counters must match its
     resolved summary, with no refit.
     """
@@ -293,6 +295,9 @@ def verify_record(run_dir):
              steering.get("trials_executed", config.get("trials")),
              "histogram trials vs configured (steered: executed) trials"),
             (bool(steering), bool(config.get("steer")), "resolved steering"),
+            (max(0, record["metrics"].get("counters", {}).get(
+                "arch.fi.engine.hangs_proven", 0) - rows["hang"]), 0,
+             "hangs proven beyond HANG fi.trials rows"),
         ]
         if steering:
             facts += _steering_facts(steering, events, record["metrics"],

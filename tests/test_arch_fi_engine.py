@@ -12,15 +12,20 @@ one-lane sweeps, so the per-trial tests exercise every lane in
 isolation.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
 from repro.arch import FaultInjector, Outcome
 from repro.arch import programs as P
-from repro.arch.cpu import CPU
+from repro.arch.assembler import assemble
+from repro.arch.cpu import CPU, MEMORY_LIMIT, CrashError
+from repro.arch.isa import WORD_MASK
 
 ELEMENTS = [f"reg{i}" for i in range(16)] + ["pc", "ir"]
 
@@ -37,6 +42,24 @@ def _one(injector, cycle, element, bit):
     """One trial as a single-coordinate (one-lane) sweep."""
     (record,) = injector.inject_many([(cycle, element, bit)])
     return record
+
+
+def _without_certificate(monkeypatch):
+    """Engines built from now on certify no loop: hangs run to the budget."""
+    from types import SimpleNamespace
+
+    from repro.arch import block_interp
+
+    monkeypatch.setattr(
+        block_interp, "LoopCertificates",
+        lambda program, leaders: SimpleNamespace(checks={}),
+    )
+
+
+@pytest.fixture
+def no_certificate(monkeypatch):
+    """Engines built in the test certify no loop."""
+    _without_certificate(monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -354,10 +377,11 @@ class TestBatchedEngine:
         assert records[2].outcome is Outcome.MASKED
         assert records[4].outcome is Outcome.MASKED
 
-    def test_hang_tails_step_to_the_budget(self):
-        # Hangs run until the block interpreter nears the cycle budget,
-        # then CPU.step delivers the cycle-exact timeout: a diverged
-        # register lane and a pc/ir start each end in one scalar tail.
+    def test_hang_tails_step_to_the_budget(self, no_certificate):
+        # Without the hang certificate, hangs run until the block
+        # interpreter nears the cycle budget, then CPU.step delivers the
+        # cycle-exact timeout: a diverged register lane and a pc/ir
+        # start each end in one scalar tail.
         ref, batched = _pair(P.fibonacci(10))
         coords = [(54, "reg4", 28), (19, "reg4", 14), (0, "pc", 3),
                   (58, "ir", 5)]
@@ -475,3 +499,296 @@ class TestCoordinateValidation:
         injector = FaultInjector(P.checksum(8), engine=engine)
         with pytest.raises(ValueError, match="invalid fault coordinate"):
             injector.inject_many([(3, "reg2", 1), coord])
+
+
+# -- the hang certificate --------------------------------------------------
+
+def _logged_attempts(injector):
+    """Log every certificate attempt of ``injector``'s engine.
+
+    Returns the live list of ``(header, limit, first)`` calls.
+    """
+    checks = injector._batched_engine()._block.loops.checks
+    calls = []
+    for header, (check, min_len) in list(checks.items()):
+        def logged(regs, limit, check=check, header=header):
+            first = check(regs, limit)
+            calls.append((header, limit, first))
+            return first
+        checks[header] = (logged, min_len)
+    return calls
+
+
+def _proven(injector, coord):
+    """``(record, hangs proven)`` of one coordinate as a one-lane sweep."""
+    with obs.collecting():
+        (record,) = injector.inject_many([coord])
+        counters = obs.metrics_snapshot()["counters"]
+    return record, counters.get("arch.fi.engine.hangs_proven", 0)
+
+
+_CERTIFIED_HEADERS = {
+    "vector_add": {2}, "dot_product": {3}, "matmul": {2, 4, 7},
+    "bubble_sort": {2, 5}, "fibonacci": {4}, "checksum": {3},
+    "fir_filter": {3, 6}, "binary_search": set(),
+}
+
+#: Hand-built loops whose lanes reach a certifiable header after its arm
+#: and must *not* be proven: ``(source, coordinate, outcome, headers)``,
+#: ``headers`` being the loops that certify.
+_MUST_NOT_PROVE = {
+    # 9 trips; r2 flipped to 41 makes HALT run on the last budget cycle.
+    "halt_on_the_last_cycle": ("""
+        addi r1, r0, 0
+        lui r2, 9
+    loop: beq r1, r2, done
+        addi r1, r1, 1
+        jmp loop
+    done: st r1, r0, 0
+        halt
+    .output 0 1
+    """, (2, "reg2", 5), Outcome.SDC, {2}),
+    # A store walk ending 40 words below MEMORY_LIMIT; a bound of 48
+    # walks into the limit.
+    "store_walk_into_the_limit": (f"""
+        lui r3, {MEMORY_LIMIT - 40}
+        addi r1, r0, 0
+        lui r2, 16
+    loop: beq r1, r2, done
+        add r4, r3, r1
+        st r1, r4, 0
+        addi r1, r1, 1
+        jmp loop
+    done: halt
+    .output 0 1
+    """, (3, "reg2", 5), Outcome.CRASH, {3}),
+    # The exit compares a loaded word: the loop never certifies.
+    "exit_on_a_loaded_value": ("""
+        lui r1, 100
+    loop: ld r5, r1, 0
+        beq r5, r0, done
+        addi r1, r1, 1
+        jmp loop
+    done: st r1, r0, 0
+        halt
+    .output 0 1
+    """ + "".join(f".word {a} {a}\n" for a in range(1, 120)),
+        (1, "reg1", 5), Outcome.SYMPTOM, set()),
+    # A signed exit taken once r1 wraps past 2^31 - 1.
+    "signed_exit_across_the_wrap": (f"""
+        lui r1, {2**31 - 10001}
+        lui r3, 1000
+    loop: add r1, r1, r3
+        blt r1, r0, done
+        jmp loop
+    done: st r1, r0, 0
+        halt
+    .output 0 1
+    """, (1, "reg1", 14), Outcome.SDC, {2}),
+    # Counting down past its (flipped) bound, the walk stores to -1.
+    "step_of_minus_one": ("""
+        lui r1, 40
+        lui r2, 20
+    loop: st r1, r1, 0
+        beq r1, r2, done
+        addi r1, r1, -1
+        jmp loop
+    done: halt
+    .output 0 1
+    """, (3, "reg2", 5), Outcome.CRASH, {2}),
+    # The inner bound is the outer counter, so only the inner loop
+    # certifies; a flipped outer counter hangs in the outer loop.
+    "triangular_inner_loop": ("""
+        addi r1, r0, 0
+        lui r2, 8
+    outer: beq r1, r2, done
+        addi r3, r0, 0
+    inner: beq r3, r1, next
+        add r4, r1, r3
+        st r4, r3, 200
+        addi r3, r3, 1
+        jmp inner
+    next: addi r1, r1, 1
+        jmp outer
+    done: halt
+    .output 200 8
+    """, (1, "reg1", 4), Outcome.HANG, {4}),
+}
+
+
+class TestHangCertificate:
+    """A lane that reaches a certifiable loop header after ``golden_cycles``
+    is answered ``HANG`` at once when no exit or crash can come before
+    the budget (:mod:`repro.arch.loop_cert`).  Every record must still
+    equal the reference engine's."""
+
+    @pytest.mark.parametrize("program", P.all_programs(), ids=lambda p: p.name)
+    def test_seed_program_loops_that_certify(self, program):
+        loops = FaultInjector(program)._batched_engine()._block.loops
+        assert set(loops.checks) == _CERTIFIED_HEADERS[program.name]
+
+    def test_tail_test_hangs_are_proven(self):
+        ref, batched = _pair(P.fibonacci(10))
+        coords = [(54, "reg4", 28), (19, "reg4", 14), (0, "pc", 3),
+                  (58, "ir", 5)]
+        with obs.collecting():
+            records = batched.inject_many(coords)
+            counters = obs.metrics_snapshot()["counters"]
+        assert records == ref.inject_many(coords)
+        assert counters["arch.fi.engine.hangs_proven"] == 4
+        assert "arch.fi.engine.batch.scalar_tails" not in counters
+        assert 0 < counters["arch.fi.engine.hang_cycles_skipped"] < 4 * (
+            batched.max_cycles - batched.golden_cycles)
+        assert counters["arch.fi.engine.block_cycles"] > 0
+
+    @pytest.mark.parametrize("case", sorted(_MUST_NOT_PROVE))
+    def test_hand_built_loop_is_not_proven(self, case):
+        source, coord, outcome, headers = _MUST_NOT_PROVE[case]
+        ref, batched = _pair(assemble(source, name=case))
+        assert set(batched._batched_engine()._block.loops.checks) == headers
+        attempts = _logged_attempts(batched)
+        record, proven = _proven(batched, coord)
+        assert record == _one(ref, *coord)
+        assert record.outcome is outcome
+        assert proven == 0
+        if headers:  # the lane was offered to a certificate and declined
+            assert attempts and all(first < limit for _, limit, first in attempts)
+
+    def test_exit_in_the_last_budget_iteration_is_exact(self):
+        # At the header on cycle 2 with r1 = 0, the loop exits after
+        # exactly r2 trips of 3 cycles, and the budget leaves
+        # ceil((128 - 2) / 3) = 42: r2 = 41 halts on the last budget
+        # cycle (the case above), r2 = 42 would time out.
+        source = _MUST_NOT_PROVE["halt_on_the_last_cycle"][0]
+        injector = FaultInjector(assemble(source, name="last_cycle"))
+        check, min_len = injector._batched_engine()._block.loops.checks[2]
+        limit = -(-(injector.max_cycles - 2) // min_len)
+        assert (injector.max_cycles, min_len, limit) == (128, 3, 42)
+        regs = [0] * 16
+        for trips in (0, 9, 41, 42, 43, 2**31, 2**32 - 1):
+            regs[2] = trips
+            assert check(regs, limit) == min(trips, limit)
+
+    @pytest.mark.parametrize("program", P.all_programs(), ids=lambda p: p.name)
+    def test_proven_coordinates_hang_on_the_oracle(self, program):
+        # Every HANG of one 4096-trial campaign, run as one-lane sweeps
+        # to learn which the certificate proved; an evenly spaced sample
+        # of at most 60 of those re-runs on the reference engine.
+        ref, batched = _pair(program)
+        records = batched.run_campaign(n_trials=4096, seed=1).records
+        hangs = [(r.cycle, r.element, r.bit) for r in records
+                 if r.outcome is Outcome.HANG]
+        proven = [c for c in hangs if _proven(batched, c)[1]]
+        if program.name == "binary_search":
+            assert proven == []
+            return
+        assert len(proven) > len(hangs) // 2
+        sample = proven[::-(-len(proven) // 60)]
+        assert {r.outcome for r in ref.inject_many(sample)} == {Outcome.HANG}
+
+    def test_records_equal_without_the_certificate(self, monkeypatch):
+        # The certificate changes no record: a campaign on an engine
+        # built without it equals one on an engine built with it.
+        with_cert = FaultInjector(P.bubble_sort())
+        assert with_cert._batched_engine()._block.loops.checks
+        _without_certificate(monkeypatch)
+        without = FaultInjector(P.bubble_sort())
+        assert without._batched_engine()._block.loops.checks == {}
+        assert (without.run_campaign(n_trials=2048, seed=5).records
+                == with_cert.run_campaign(n_trials=2048, seed=5).records)
+
+
+@st.composite
+def _loop_programs(draw):
+    """Assembly of a counted loop, optionally around a counted inner loop.
+
+    The outer counter ``r1`` runs from a random start by a random step
+    to its bound ``r2`` (a ``beq`` at the header, or a ``bne``/``blt``
+    latch); the pointer ``r7`` starts at a random base, near 0 or near
+    ``MEMORY_LIMIT``, and moves by its own step.  The inner loop walks
+    ``r4`` to ``r5`` and stores only where a loaded word is not below
+    ``r9``: an internal, data-dependent branch.
+    """
+    trips = draw(st.integers(1, 6))
+    step = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    exit_kind = draw(st.sampled_from(["beq", "bne", "blt"]))
+    if exit_kind == "blt":
+        step = abs(step)
+        start = draw(st.integers(-50, 50)) & WORD_MASK
+    else:
+        start = draw(st.integers(0, WORD_MASK))
+    bound = (start + trips * step) & WORD_MASK
+    base = draw(st.one_of(st.integers(0, 40),
+                          st.integers(MEMORY_LIMIT - 40, MEMORY_LIMIT - 1)))
+    pstep = draw(st.integers(-3, 3))
+    off = draw(st.integers(-8, 8))
+    lines = [
+        f"lui r1, {start}", f"lui r2, {bound}", f"lui r7, {base}",
+        f"lui r9, {draw(st.integers(0, 60))}",
+        "outer:" + (" beq r1, r2, done" if exit_kind == "beq" else " nop"),
+    ]
+    if draw(st.booleans()):
+        istep = draw(st.sampled_from([-2, -1, 1, 2]))
+        istart = draw(st.integers(-4, 4))
+        iend = istart + draw(st.integers(0, 4)) * istep
+        lines += [
+            f"addi r4, r0, {istart}", f"addi r5, r0, {iend}",
+            "inner: beq r4, r5, inner_done", "add r6, r7, r4",
+            f"ld r8, r6, {draw(st.integers(-4, 4))}", "blt r8, r9, skip",
+            f"st r1, r6, {draw(st.integers(-4, 4))}",
+            f"skip: addi r4, r4, {istep}", "jmp inner", "inner_done: nop",
+        ]
+    lines += [f"st r1, r7, {off}", f"addi r7, r7, {pstep}",
+              f"addi r1, r1, {step}"]
+    if exit_kind == "beq":
+        lines.append("jmp outer")
+    else:
+        lines.append(f"{exit_kind} r1, r2, outer")
+    out = min(max(base + off, 0), MEMORY_LIMIT - 4)
+    lines += ["done: halt", f".output {out} 4"]
+    words = draw(st.lists(st.integers(0, 99), min_size=8, max_size=8))
+    lines += [f".word {(base + i) % MEMORY_LIMIT} {w}" for i, w in enumerate(words)]
+    return "\n".join(lines)
+
+
+@given(
+    source=_loop_programs(),
+    coords=st.lists(
+        st.tuples(st.floats(0, 1, exclude_max=True),
+                  st.sampled_from(ELEMENTS[1:10] + ["pc", "ir"]),
+                  st.integers(0, 31)),
+        min_size=1, max_size=12,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_property_generated_loops_match_the_oracle(source, coords):
+    """On generated loop programs, random coordinates give the same
+    records on both engines, with the hang certificate live."""
+    program = assemble(source, name="generated")
+    try:
+        CPU(program, max_cycles=600).run()
+    except (TimeoutError, CrashError):
+        assume(False)
+    ref, batched = _pair(program)
+    coords = [(int(f * batched.golden_cycles), el, b) for f, el, b in coords]
+    assert batched.inject_many(coords) == ref.inject_many(coords)
+
+
+def test_exhaustive_counts_match_the_ground_truth():
+    # Every (cycle, element, bit) of the five short seed programs,
+    # against the exact counts perfbench/ground_truth.py recorded.
+    exact = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "avf_exact.json")
+        .read_text()
+    )["programs"]
+    for program in P.all_programs():
+        if program.name in ("matmul", "bubble_sort", "fir_filter"):
+            continue
+        injector = FaultInjector(program)
+        coords = [(c, el, b) for c in range(injector.golden_cycles)
+                  for el in ELEMENTS for b in range(32)]
+        counts = {o.value: 0 for o in Outcome}
+        for start in range(0, len(coords), 8192):
+            for record in injector.inject_many(coords[start:start + 8192]):
+                counts[record.outcome.value] += 1
+        assert counts == exact[program.name]["counts"], program.name

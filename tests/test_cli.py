@@ -144,6 +144,28 @@ class TestMain:
         walk(load_run_record(runs)["spans"]["root"])
         assert sorted(parents) == ["arch.cpu.batch", "cli.fi"]
 
+    def test_fi_recorded_run_counts_proven_hangs(self, capsys, tmp_path,
+                                                 monkeypatch):
+        """Off-trace hangs of a recorded run are proven by the loop
+        certificate, and the record says so: the proofs, the budget
+        cycles they skipped and the cycles the block interpreter ran."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runs = tmp_path / "runs"
+        assert main(["fi", "--trials", "300", "--no-cache",
+                     "--record", str(runs)]) == 0
+        capsys.readouterr()
+        from repro.obs import load_run_record, verify_record
+
+        record = load_run_record(runs)
+        counters = record["metrics"]["counters"]
+        proven = counters["arch.fi.engine.hangs_proven"]
+        assert 0 < proven <= record["outcomes"]["histogram"]["hang"]
+        budget = record["meta"]["config"]["resolved"]["fi_engine"]
+        assert 0 < counters["arch.fi.engine.hang_cycles_skipped"] < proven * (
+            budget["max_cycles"] - budget["golden_cycles"])
+        assert counters["arch.fi.engine.block_cycles"] > 0
+        assert verify_record(record["path"]) == []
+
     def test_fi_parallel_recorded_run_reconciles(self, capsys, tmp_path,
                                                  monkeypatch):
         """A recorded --jobs 2 campaign runs on forked tcp workers, and

@@ -89,3 +89,16 @@ def test_report_check_exit_codes(recorded, tmp_path, capsys):
     assert main(["report", str(bad), "--check"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL ") and "fi.trials rows" in out
+
+
+def test_more_proven_hangs_than_hang_rows_is_flagged(recorded, tmp_path):
+    copy = tmp_path / recorded["uniform"].name
+    shutil.copytree(recorded["uniform"], copy)
+    path = copy / "record.jsonl"
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    hangs = next(x for x in lines if x.get("type") == "outcomes")["histogram"]
+    metrics = next(x for x in lines if x.get("type") == "metrics")
+    metrics["counters"]["arch.fi.engine.hangs_proven"] = hangs["hang"] + 2
+    path.write_text("".join(json.dumps(x) + "\n" for x in lines))
+    assert verify_record(copy) == [
+        "hangs proven beyond HANG fi.trials rows: 2 != 0"]
