@@ -61,6 +61,9 @@ RUNS = 100
 TRIALS = 400
 DIST_UNITS = 48
 ROUNDS = 3
+# Paired rounds of the obs-overhead bench: its per-round CPU ratio
+# spreads a few percent, so a 5% bound needs tens of rounds.
+OBS_ROUNDS = 41
 WALL_PROBS = (1e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4)
 WALL_SPEEDS = (2.0, 4.0, 8.0)
 HIT_RATE_TOLERANCE = 0.15
@@ -217,10 +220,14 @@ def bench_obs_overhead(n_trials, rounds):
     :class:`repro.obs.RunRecorder` (spans + metrics + the per-trial
     ``fi.trials`` event stream, written to a throwaway directory), and
     keeps the per-round on/off ratio — pairing the measurements cancels
-    machine drift that would swamp a few-percent effect.  The recorded
-    overhead is the median ratio minus one; :data:`GATES` holds it to the
-    observability layer's "off by default, cheap when on" budget
-    (docs/observability.md).
+    machine drift that would swamp a few-percent effect.  Both sides are
+    timed in process CPU-seconds, so time the host gives to other
+    processes does not count, and odd rounds run the recorded side
+    first, so neither side always inherits the other's garbage or cache
+    state.  The recorded overhead is the median ratio minus one over
+    :data:`OBS_ROUNDS` rounds, enough to resolve a 5% effect;
+    :data:`GATES` holds it to the observability layer's "off by default,
+    cheap when on" budget (docs/observability.md).
     """
     import shutil
     import tempfile
@@ -236,20 +243,31 @@ def bench_obs_overhead(n_trials, rounds):
     )
     injector.run_campaign(n_trials=n_trials, seed=0)  # warm the engine
     tmp = tempfile.mkdtemp(prefix="bench-obs-")
+
+    def off():
+        obs.disable()
+        start = time.process_time()
+        result = injector.run_campaign(n_trials=n_trials, seed=0)
+        return time.process_time() - start, result
+
+    def on():
+        with RunRecorder(tmp, name="obs-overhead") as recorder:
+            start = time.process_time()
+            result = injector.run_campaign(n_trials=n_trials, seed=0)
+            seconds = time.process_time() - start
+        return seconds, result, recorder.events_path.read_text().splitlines()
+
     ratios, off_times, on_times = [], [], []
     try:
-        for _ in range(rounds):
-            obs.disable()
-            start = time.perf_counter()
-            off_res = injector.run_campaign(n_trials=n_trials, seed=0)
-            off_s = time.perf_counter() - start
-            with RunRecorder(tmp, name="obs-overhead") as recorder:
-                start = time.perf_counter()
-                on_res = injector.run_campaign(n_trials=n_trials, seed=0)
-                on_s = time.perf_counter() - start
+        for i in range(rounds):
+            if i % 2:
+                on_s, on_res, events = on()
+                off_s, off_res = off()
+            else:
+                off_s, off_res = off()
+                on_s, on_res, events = on()
             if off_res.records != on_res.records:
                 raise AssertionError("recording changed campaign records")
-            events = recorder.events_path.read_text().splitlines()
             ratios.append(on_s / off_s)
             off_times.append(off_s)
             on_times.append(on_s)
@@ -261,6 +279,7 @@ def bench_obs_overhead(n_trials, rounds):
         "overhead": float(np.median(ratios)) - 1.0,
         "events_per_run": len(events),
         "n_trials": n_trials,
+        "rounds": rounds,
         "program": program.name,
     }
 
@@ -360,13 +379,13 @@ def bench_sched_overhead(n_units, rounds):
     }
 
 
-#: bench -> (function, scale argument); every bench runs ROUNDS rounds.
+#: bench -> (function, scale argument, rounds).
 BENCHES = {
-    "fig5_fig6_sweep": (bench_fig5_fig6_sweep, RUNS),
-    "wall_ablation": (bench_wall_ablation, RUNS),
-    "dist_scaling": (bench_dist_scaling, DIST_UNITS),
-    "sched_overhead": (bench_sched_overhead, SCHED_OVERHEAD_UNITS),
-    "obs_overhead": (bench_obs_overhead, TRIALS),
+    "fig5_fig6_sweep": (bench_fig5_fig6_sweep, RUNS, ROUNDS),
+    "wall_ablation": (bench_wall_ablation, RUNS, ROUNDS),
+    "dist_scaling": (bench_dist_scaling, DIST_UNITS, ROUNDS),
+    "sched_overhead": (bench_sched_overhead, SCHED_OVERHEAD_UNITS, ROUNDS),
+    "obs_overhead": (bench_obs_overhead, TRIALS, OBS_ROUNDS),
 }
 
 
@@ -395,8 +414,8 @@ def run_benches():
         "config": {"rounds": ROUNDS, "jobs": 1, "cache": False},
         "results": {},
     }
-    for name, (bench, scale) in BENCHES.items():
-        result = bench(scale, ROUNDS)
+    for name, (bench, scale, rounds) in BENCHES.items():
+        result = bench(scale, rounds)
         entry["results"][name] = result
         print(f"{name}: " + "  ".join(
             f"{key}={_format(value)}" for key, value in result.items()

@@ -336,15 +336,15 @@ class BatchedEngine:
                                 values[j] = golden_mem(int(addr[j]))
                             regs[rd, :k] = values
                     else:
-                        values = np.empty(k, U64)
-                        for j in range(k):
-                            a_j = int(addr[j])
-                            delta = deltas[j]
-                            values[j] = (
-                                delta[a_j] if a_j in delta
-                                else golden_mem(a_j)
-                            )
-                        regs[rd, :k] = values
+                        # The golden load reads g_val at g_addr, so only
+                        # a lane's own entry or another address needs a
+                        # lookup.
+                        regs[rd, :k] = [
+                            delta[a_j] if a_j in delta
+                            else g_val if a_j == g_addr
+                            else golden_mem(a_j)
+                            for a_j, delta in zip(addr.tolist(), deltas)
+                        ]
             elif cat == _ST:
                 _, rs1, rs2, imm = op
                 addr = (regs[rs1, :k] + imm) & _MASK

@@ -45,7 +45,8 @@ import enum
 import functools
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -83,9 +84,13 @@ class Outcome(enum.Enum):
 OUTCOME_INDEX = {o: i for i, o in enumerate(Outcome)}
 
 
-@dataclass
+@dataclass(slots=True)
 class InjectionRecord:
-    """One fault-injection trial."""
+    """One fault-injection trial.
+
+    Slotted: a record holds its seven fields and no ``__dict__``, which
+    is what bounds a campaign's memory (every trial is kept).
+    """
 
     program: str
     cycle: int
@@ -94,6 +99,36 @@ class InjectionRecord:
     outcome: Outcome
     pc_at_injection: int = -1
     opcode_at_injection: str = ""
+
+
+#: :class:`InjectionRecord` field names, in constructor order.
+_FIELDS = tuple(f.name for f in fields(InjectionRecord))
+
+#: Injection context of a cycle outside the golden run.
+_NO_CONTEXT = (-1, "")
+
+
+class _RecordList(list):
+    """The records of one :meth:`FaultInjector.inject_many` call.
+
+    A plain list of :class:`InjectionRecord`\\ s that pickles as one
+    column per field instead of one object per record, so cache entries
+    and tcp result payloads are a handful of flat lists.  Every field is
+    a column, so any list of records (mutated, or mixing programs)
+    round-trips equal.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return _records_from_columns, tuple(
+            list(map(attrgetter(name), self)) for name in _FIELDS
+        )
+
+
+def _records_from_columns(*columns):
+    """Inverse of :meth:`_RecordList.__reduce__`."""
+    return _RecordList(map(InjectionRecord, *columns))
 
 
 @dataclass
@@ -186,6 +221,14 @@ class FaultInjector:
         self.golden_pc_trace = trace
         self.max_cycles = max(int(cpu.cycles * max_cycles_factor), cpu.cycles + 64)
         self._live_mask = self._golden_liveness(trace)
+        # The golden instruction in flight at each cycle, as the
+        # (pc_at_injection, opcode_at_injection) every record carries
+        # (pattern mining keys on it); one shared tuple per instruction.
+        context = [
+            (pc, instr.opcode.value)
+            for pc, instr in enumerate(program.instructions)
+        ]
+        self._context = [context[pc] for pc in trace]
         # Trials restore into one reusable CPU instead of building a fresh
         # simulator per injection.
         self._trial_cpu = CPU(program, max_cycles=self.max_cycles)
@@ -231,14 +274,6 @@ class FaultInjector:
         bit = np.uint32(1 << int(element[3:]))
         return np.flatnonzero(self._live_mask & bit)
 
-    def _injection_context(self, cycle):
-        """Log-feature context: the golden instruction at the injection
-        cycle (pattern mining keys on it)."""
-        if 0 <= cycle < len(self.golden_pc_trace):
-            pc_at = self.golden_pc_trace[cycle]
-            return pc_at, self.program.instructions[pc_at].opcode.value
-        return -1, ""
-
     def _classify(self, output, cycles):
         """The Sec. III taxonomy for a completed (non-crash) run."""
         if output != self.golden_output:
@@ -254,8 +289,9 @@ class FaultInjector:
         """Run trials for ``coords`` (``(cycle, element, bit)`` triples).
 
         Returns one :class:`InjectionRecord` per coordinate, in input
-        order, bit-identical on both engines; the batched engine runs
-        them in one sweep (:mod:`repro.arch.batched_engine`).  Raises
+        order, bit-identical on both engines, in a list that pickles as
+        field columns; the batched engine runs them in one sweep
+        (:mod:`repro.arch.batched_engine`).  Raises
         :class:`ValueError` before any trial runs, on either engine, for
         an element outside :meth:`CPU.state_elements` or a bit outside
         ``0..31``.
@@ -271,12 +307,16 @@ class FaultInjector:
             outcomes = [self._inject_reference(*coord) for coord in coords]
         else:
             outcomes = self._inject_batched(lanes)
-        records = []
-        for (cycle, element, bit), outcome in zip(coords, outcomes):
-            pc_at, opcode_at = self._injection_context(cycle)
-            records.append(
-                self._record(cycle, element, bit, outcome, pc_at, opcode_at)
+        name = self.program.name
+        context = self._context
+        n = len(context)
+        records = _RecordList([
+            InjectionRecord(
+                name, cycle, element, bit, outcome,
+                *(context[cycle] if 0 <= cycle < n else _NO_CONTEXT),
             )
+            for (cycle, element, bit), outcome in zip(coords, outcomes)
+        ])
         self._emit_trials(records)
         return records
 
@@ -354,17 +394,6 @@ class FaultInjector:
         except TimeoutError:
             return Outcome.HANG
         return self._classify(result.output(self.program.output_range), result.cycles)
-
-    def _record(self, cycle, element, bit, outcome, pc_at, opcode_at):
-        return InjectionRecord(
-            program=self.program.name,
-            cycle=cycle,
-            element=element,
-            bit=bit,
-            outcome=outcome,
-            pc_at_injection=pc_at,
-            opcode_at_injection=opcode_at,
-        )
 
     def fingerprint(self):
         """Content digest of everything that determines a trial's result.

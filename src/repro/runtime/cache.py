@@ -32,7 +32,7 @@ from repro import obs
 
 #: Bump when the on-disk value format or keying scheme changes; old
 #: entries then simply miss instead of deserializing garbage.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 MISS = object()
 """Sentinel returned by :meth:`ResultCache.get` on a miss (results may

@@ -1,5 +1,8 @@
 """Tests for fault-injection campaigns, vulnerability, and FI acceleration."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,88 @@ class TestFaultInjector:
         empty = CampaignResult(program="x", golden_output=(), golden_cycles=1)
         with pytest.raises(ValueError):
             empty.rates()
+
+
+def _old_format_pickle(records, monkeypatch):
+    """``records`` pickled as cache version 1 stored them.
+
+    Version 1 records had a ``__dict__``, so each pickled as its own
+    object with a dict state under the same class name.
+    """
+    from repro.arch import fault_injection
+
+    old = dataclasses.make_dataclass(
+        "InjectionRecord",
+        [(f.name, f.type, f) for f in dataclasses.fields(fault_injection.InjectionRecord)],
+    )
+    old.__module__ = fault_injection.__name__
+    with monkeypatch.context() as patch:
+        patch.setattr(fault_injection, "InjectionRecord", old)
+        return pickle.dumps([old(*dataclasses.astuple(r)) for r in records])
+
+
+class TestRecords:
+    def test_record_is_slotted_and_mutable(self, campaign):
+        record = dataclasses.replace(campaign.records[0])
+        assert not hasattr(record, "__dict__")
+        record.outcome = Outcome.SDC
+        assert record.outcome is Outcome.SDC
+        with pytest.raises(AttributeError):
+            record.note = "x"
+
+    def test_inject_many_round_trips_as_columns(self, injector, campaign):
+        coords = [(r.cycle, r.element, r.bit) for r in campaign.records]
+        records = injector.inject_many(coords)
+        data = pickle.dumps(records)
+        back = pickle.loads(data)
+        assert back == records == campaign.records
+        assert pickle.dumps(back) == data
+        # Seven field columns, not one pickled object per record.
+        _, columns = records.__reduce__()
+        assert [len(c) for c in columns] == [len(records)] * 7
+        assert b"InjectionRecord" not in data
+
+    def test_mutated_and_mixed_lists_round_trip(self, injector):
+        other = FaultInjector(P.fibonacci(8))
+        records = injector.inject_many([(3, "reg2", 1), (-1, "pc", 0)])
+        records += other.inject_many([(4, "reg1", 7)])
+        records[0].outcome = Outcome.HANG
+        records[1].program = "renamed"
+        back = pickle.loads(pickle.dumps(records))
+        assert back == records
+        assert {r.program for r in back} == {"renamed", "checksum", "fibonacci"}
+        assert back[0].outcome is Outcome.HANG
+        assert pickle.loads(pickle.dumps(injector.inject_many([]))) == []
+
+    def test_version_1_entries_re_execute(self, tmp_path, monkeypatch):
+        from repro.runtime import ResultCache
+        from repro.runtime import cache as cache_module
+
+        injector = FaultInjector(P.fibonacci(8))
+        uncached = injector.run_campaign(n_trials=64, seed=4, chunk_size=32)
+        # Write both chunks under their version-1 keys, in the old format.
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_VERSION", 1)
+            injector.run_campaign(
+                n_trials=64, seed=4, chunk_size=32,
+                cache=ResultCache(tmp_path),
+            )
+        entries = sorted(tmp_path.glob("*.pkl"))
+        assert len(entries) == 2
+        for entry in entries:
+            old = _old_format_pickle(pickle.loads(entry.read_bytes()), monkeypatch)
+            with pytest.raises(AttributeError):
+                pickle.loads(old)  # what a version-1 key would read back
+            entry.write_bytes(old)
+
+        cache = ResultCache(tmp_path)
+        result = injector.run_campaign(n_trials=64, seed=4, chunk_size=32,
+                                       cache=cache)
+        assert cache.stats.as_dict() == {
+            "hits": 0, "misses": 2, "writes": 2, "errors": 0,
+        }
+        assert injector.last_run_stats.executed_trials == 64
+        assert result.records == uncached.records
 
 
 class TestVulnerabilityFeatures:

@@ -158,9 +158,10 @@ class TestTrialEquivalence:
 
     def test_fault_past_the_golden_run_never_fires(self, checksum_pair):
         ref, batched = checksum_pair
-        for cycle in (ref.golden_cycles, ref.golden_cycles + 100):
+        for cycle in (-1, ref.golden_cycles, ref.golden_cycles + 100):
             r = _one(ref, cycle, "reg4", 9)
             assert r.outcome is Outcome.MASKED
+            assert (r.pc_at_injection, r.opcode_at_injection) == (-1, "")
             assert r == _one(batched, cycle, "reg4", 9)
 
 
