@@ -1,14 +1,19 @@
-"""Block-compiled suffix interpreter for off-trace fault-injection lanes.
+"""Block-compiled suffix interpreter for fault-injection trials.
 
-Once a trial's control flow leaves the golden PC trace, the batched
-engine (:mod:`repro.arch.batched_engine`) can no longer step it in
-lockstep with the other lanes — and the scalar interpreter pays ~1 µs
-of Python dispatch per simulated cycle, which would make off-trace
-suffixes the dominant cost of a campaign.  This module removes most of
-that dispatch: it compiles a program's static control-flow graph into
-one generated Python function whose basic blocks are straight-line code
+Every batched-engine trial (:mod:`repro.arch.batched_engine`) runs its
+post-fault suffix here, and the scalar interpreter pays ~1 µs of Python
+dispatch per simulated cycle, which would make those suffixes the
+dominant cost of a campaign.  This module removes most of that
+dispatch: it compiles a program's static control-flow graph into one
+generated Python function whose basic blocks are straight-line code
 over register *locals* (``r1`` … ``r15``; ``r0`` folds to the literal
 ``0``), re-dispatching on the PC only at block boundaries.
+
+A run may start at any PC.  A fault lands mid-block (a register flip
+at any golden cycle, a ``pc`` flip anywhere), so a one-time entry stub
+before the dispatch loop runs the rest of the entry PC's block; the
+loop itself dispatches over block leaders only.  An entry PC outside
+the program is ``CRASHED``, as ``CPU.step``'s first fetch would be.
 
 At the header of every loop that :mod:`repro.arch.loop_cert` can
 certify, the runner checks the cycle count against that header's arm
@@ -18,15 +23,10 @@ running it to the budget.
 
 Semantics mirror :meth:`repro.arch.cpu.CPU.step` exactly — same
 32-bit masking, signed-compare branches, copy-on-write memory overlay,
-:data:`repro.arch.cpu.MEMORY_LIMIT` crashes, and halt behaviour.  Two
-situations are deliberately *not* handled inline and bounce back to
-``CPU.step`` instead:
-
-* **near-budget** — within one maximal block length of ``max_cycles``,
-  so the scalar steps deliver the cycle-exact ``TimeoutError``;
-* **off-dispatch entry** — an entry PC that is not a block leader
-  (possible for ``pc``-flip faults; divergent branch directions are
-  always leaders by CFG construction).
+:data:`repro.arch.cpu.MEMORY_LIMIT` crashes, and halt behaviour.  One
+situation is deliberately *not* handled inline: within one maximal
+block length of ``max_cycles`` the runner returns ``NEAR_BUDGET``, and
+the caller's scalar steps deliver the cycle-exact ``TimeoutError``.
 
 The interpreter never checks golden reconvergence: a run classifies
 from its final architectural state, which gives the same outcome as
@@ -40,7 +40,7 @@ from repro.arch.isa import WORD_MASK, Opcode
 from repro.arch.loop_cert import LoopCertificates
 
 #: Status codes returned by a compiled runner (first tuple element).
-HALTED, CRASHED, NEAR_BUDGET, OFF_DISPATCH, AT_HEADER = range(5)
+HALTED, CRASHED, NEAR_BUDGET, AT_HEADER = range(4)
 
 _TERMINATORS = (Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.JMP, Opcode.HALT)
 _BRANCHES = (Opcode.BEQ, Opcode.BNE, Opcode.BLT)
@@ -58,9 +58,8 @@ class BlockProgram:
     Attributes
     ----------
     leaders:
-        Frozenset of basic-block entry PCs; :meth:`run` may only be
-        entered at one of these (callers scalar-step to a leader
-        first).
+        Frozenset of basic-block entry PCs, the dispatch loop's cases.
+        :meth:`run` may be entered at any PC.
     loops:
         The program's :class:`repro.arch.loop_cert.LoopCertificates`.
     headers:
@@ -86,14 +85,17 @@ class BlockProgram:
         self.leaders = frozenset(leaders)
         self.loops = LoopCertificates(program, self.leaders)
         self.headers = sorted(self.loops.checks)
-        ordered = sorted(leaders)
         blocks = {}
         max_len = 1
-        for leader in ordered:
-            lines, length = self._emit_block(program, leader, leaders)
-            blocks[leader] = lines
+        for pc in range(n):
+            lines, length = self._emit_block(program, pc, pc in leaders)
+            blocks[pc] = lines
             max_len = max(max_len, length)
 
+        near_budget = [
+            f"if cycles + {max_len} >= max_cycles:",
+            f"    return ({NEAR_BUDGET}, pc, cycles, {_REGS_TUPLE})",
+        ]
         out = [
             "def _run(regs, overlay, base, pc, cycles, max_cycles, arm):",
             "    _, r1, r2, r3, r4, r5, r6, r7, "
@@ -102,47 +104,54 @@ class BlockProgram:
         if self.headers:
             out.append("    " + "".join(
                 f"a{h}, " for h in self.headers) + "= arm")
-        out += [
-            "    ov = overlay",
-            "    bget = base.get",
-            "    while True:",
-            f"        if cycles + {max_len} >= max_cycles:",
-            f"            return ({NEAR_BUDGET}, pc, cycles, {_REGS_TUPLE})",
-        ]
-        self._emit_dispatch(out, ordered, blocks, "        ")
+        out += ["    ov = overlay", "    bget = base.get",
+                "    if pc not in leaders:"]
+        out += ["        " + line for line in near_budget]
+        self._emit_dispatch(out, sorted(set(range(n)) - leaders), blocks,
+                            "        ")
+        out.append("    while True:")
+        out += ["        " + line for line in near_budget]
+        self._emit_dispatch(out, sorted(leaders), blocks, "        ")
         self.source = "\n".join(out)
-        namespace = {}
+        namespace = {"leaders": self.leaders}
         exec(self.source, namespace)  # noqa: S102 - static program codegen
         self.run = namespace["_run"]
 
-    def _emit_dispatch(self, out, ordered, blocks, pad):
-        """Binary if-tree over block leaders; leaves inline the blocks."""
-        if len(ordered) == 1:
-            leader = ordered[0]
-            out.append(f"{pad}if pc == {leader}:")
-            out.extend(pad + "    " + line for line in blocks[leader])
-            out.append(f"{pad}else:")
-            out.append(
-                f"{pad}    return ({OFF_DISPATCH}, pc, cycles, {_REGS_TUPLE})"
-            )
-            return
-        mid = len(ordered) // 2
-        out.append(f"{pad}if pc < {ordered[mid]}:")
-        self._emit_dispatch(out, ordered[:mid], blocks, pad + "    ")
-        out.append(f"{pad}else:")
-        self._emit_dispatch(out, ordered[mid:], blocks, pad + "    ")
+    def _emit_dispatch(self, out, pcs, blocks, pad):
+        """Binary if-tree over ``pcs``; leaves inline the blocks.
 
-    def _emit_block(self, program, leader, leaders):
-        """Generate one basic block; returns (lines, cycle_length)."""
+        Any other PC falls through to ``CRASHED``.
+        """
+        if len(pcs) <= 1:
+            if pcs:
+                out.append(f"{pad}if pc == {pcs[0]}:")
+                out.extend(pad + "    " + line for line in blocks[pcs[0]])
+                out.append(f"{pad}else:")
+                pad += "    "
+            out.append(f"{pad}return ({CRASHED}, pc, cycles, None)")
+            return
+        mid = len(pcs) // 2
+        out.append(f"{pad}if pc < {pcs[mid]}:")
+        self._emit_dispatch(out, pcs[:mid], blocks, pad + "    ")
+        out.append(f"{pad}else:")
+        self._emit_dispatch(out, pcs[mid:], blocks, pad + "    ")
+
+    def _emit_block(self, program, start, in_loop):
+        """Generate the code from ``start`` to its block's end.
+
+        Returns ``(lines, cycle_length)``.  A block leader's code runs
+        in the dispatch loop and ends with ``continue``; a mid-block
+        entry's runs once in the entry stub and falls into the loop.
+        """
         instrs = program.instructions
         n = len(instrs)
         lines = []
-        if leader in self.loops.checks:
-            lines.append(f"if cycles >= a{leader}:")
+        if start in self.loops.checks:
+            lines.append(f"if cycles >= a{start}:")
             lines.append(
-                f"    return ({AT_HEADER}, {leader}, cycles, {_REGS_TUPLE})"
+                f"    return ({AT_HEADER}, {start}, cycles, {_REGS_TUPLE})"
             )
-        i = leader
+        i = start
         length = 0
         while True:
             ins = instrs[i]
@@ -153,7 +162,7 @@ class BlockProgram:
                 if op is Opcode.HALT:
                     lines.append(f"return ({HALTED}, {i}, cycles, None)")
                 elif op is Opcode.JMP:
-                    self._emit_goto(lines, i + 1 + ins.imm, n, "")
+                    self._emit_goto(lines, i + 1 + ins.imm, n, "", in_loop)
                 else:
                     a = _reg_read(ins.rs1)
                     b = _reg_read(ins.rs2)
@@ -164,22 +173,22 @@ class BlockProgram:
                     else:  # BLT: signed compare via bias trick
                         cond = f"({a} ^ 2147483648) < ({b} ^ 2147483648)"
                     lines.append(f"if {cond}:")
-                    self._emit_goto(lines, i + 1 + ins.imm, n, "    ")
+                    self._emit_goto(lines, i + 1 + ins.imm, n, "    ", in_loop)
                     lines.append("else:")
-                    self._emit_goto(lines, i + 1, n, "    ")
+                    self._emit_goto(lines, i + 1, n, "    ", in_loop)
                 return lines, length
             self._emit_straight(lines, ins)
             i += 1
-            if i in leaders:  # fall through into the next block
+            if i in self.leaders:  # fall through into the next block
                 lines.append(f"cycles += {length}")
-                lines.append(f"pc = {i}")
-                lines.append("continue")
+                self._emit_goto(lines, i, n, "", in_loop)
                 return lines, length
 
-    def _emit_goto(self, lines, target, n, pad):
+    def _emit_goto(self, lines, target, n, pad, in_loop):
         if 0 <= target < n:
             lines.append(f"{pad}pc = {target}")
-            lines.append(f"{pad}continue")
+            if in_loop:
+                lines.append(f"{pad}continue")
         else:  # the scalar loop would crash on the next fetch
             lines.append(f"{pad}return ({CRASHED}, {target}, cycles, None)")
 

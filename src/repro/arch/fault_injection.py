@@ -20,15 +20,12 @@ bit-identical to the serial path.  See ``docs/campaigns.md``.
 
 Trial execution runs on one of two engines (``engine=``):
 
-* ``"batched"`` (default) — trial-vectorized suffix replay: register
-  flips into a register the golden run overwrites before reading (the
-  un-ACE coordinates of a per-cycle liveness mask) are answered
-  ``MASKED`` without running; whole chunks of trials march down the
-  golden PC trace in lockstep as numpy lanes, with per-opcode masked
-  updates, after one sweep fast-forwards golden state from power-on to
-  each lane's injection cycle; a lane retires when it halts
-  in lockstep or crashes, and lanes whose control flow diverges from
-  the golden trace finish on the block-compiled interpreter
+* ``"batched"`` (default) — suffix replay: register flips into a
+  register the golden run overwrites before reading (the un-ACE
+  coordinates of a per-cycle liveness mask) are answered ``MASKED``
+  without running; one sweep per chunk fast-forwards golden state from
+  power-on through each trial's injection cycle, and every trial runs
+  its faulty suffix from there on the block-compiled interpreter
   (:mod:`repro.arch.batched_engine`).
 * ``"reference"`` — the original full re-execution from cycle 0, kept
   as the equivalence oracle (CLI: ``--reference-engine``).
@@ -44,7 +41,6 @@ from __future__ import annotations
 import enum
 import functools
 import hashlib
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
@@ -55,7 +51,7 @@ from repro.arch.cpu import CPU, STATE_ELEMENTS, CrashError
 from repro.arch.isa import N_REGISTERS
 from repro.runtime import CampaignRunner
 
-#: Trial-execution engines: the vectorized engine and its oracle.
+#: Trial-execution engines: the batched engine and its oracle.
 ENGINES = ("batched", "reference")
 
 #: Default campaign chunk size per engine.  The batched engine amortizes
@@ -82,6 +78,9 @@ class Outcome(enum.Enum):
 
 
 OUTCOME_INDEX = {o: i for i, o in enumerate(Outcome)}
+
+#: Outcome labels (``Outcome.value``), in :class:`Outcome` order.
+_LABELS = tuple(o.value for o in Outcome)
 
 
 @dataclass(slots=True)
@@ -191,7 +190,7 @@ class FaultInjector:
         Relative cycle-count deviation below which a correct-output run is
         MASKED; above it, SYMPTOM.
     engine:
-        Trial-execution engine: ``"batched"`` (default; trial-vectorized
+        Trial-execution engine: ``"batched"`` (default; block-compiled
         suffix replay) or ``"reference"`` (full rerun from cycle 0, the
         equivalence oracle).  Both produce bit-identical records.
     """
@@ -317,7 +316,8 @@ class FaultInjector:
             )
             for (cycle, element, bit), outcome in zip(coords, outcomes)
         ])
-        self._emit_trials(records)
+        if coords and obs.enabled():
+            self._emit_trials(coords, outcomes)
         return records
 
     def _inject_batched(self, lanes):
@@ -348,25 +348,27 @@ class FaultInjector:
                     outcomes[i] = outcome
         return outcomes
 
-    def _emit_trials(self, records):
-        """Counters and flight-recorder rows for one executed batch of trials.
+    def _emit_trials(self, coords, outcomes):
+        """Counters and the flight-recorder frame for one batch of trials.
 
-        One ``fi.trials`` event per :meth:`inject_many` call, carrying a
-        compact ``[cycle, element, bit, outcome]`` row per trial, and one
-        counter increment per outcome label — the framing (not one event
-        or increment per trial) is what keeps the per-trial recording
-        overhead inside the perf-smoke budget.  Guarded here so nothing
-        is built while recording is off.
+        One ``fi.trials`` event per :meth:`inject_many` call, carrying
+        the batch as four packed columns (:func:`repro.obs.trial_columns`),
+        and one counter increment per outcome label.  The framing (not
+        one event or increment per trial) and the columns (read off the
+        coordinates, with no per-trial object, ``Enum`` property or hash)
+        keep recording inside the perf-smoke budget.
         """
-        if not records or not obs.enabled():
-            return
-        rows = [[r.cycle, r.element, r.bit, r.outcome.value] for r in records]
-        _count_trials([row[3] for row in rows])
+        labels = [outcome._value_ for outcome in outcomes]
+        obs.inc("arch.fault_injection.trials", len(labels))
+        for label in _LABELS:
+            n = labels.count(label)
+            if n:
+                obs.inc(f"arch.fault_injection.outcome.{label}", n)
         obs.emit("fi.trials", engine=self.engine, program=self.program.name,
-                 items=rows)
+                 **obs.trial_columns(coords, labels))
 
     def _batched_engine(self):
-        """The vectorized engine, built on first use."""
+        """The batched engine, built on first use."""
         if self._batched is None:
             from repro.arch.batched_engine import BatchedEngine
 
@@ -531,13 +533,6 @@ class FaultInjector:
                               jobs, cache, progress, chunk_size, policy, resume,
                               transport=transport,
                               transport_options=transport_options)
-
-
-def _count_trials(labels):
-    """The trial and per-outcome counters for trials with these outcome labels."""
-    obs.inc("arch.fault_injection.trials", len(labels))
-    for label, n in Counter(labels).items():
-        obs.inc(f"arch.fault_injection.outcome.{label}", n)
 
 
 def _random_chunk(injector, elements, chunk):

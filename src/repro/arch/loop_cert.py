@@ -1,6 +1,6 @@
 """Exact hang certificates for the natural loops of a program.
 
-An off-trace fault-injection lane that hangs would otherwise run in the
+A fault-injection trial that hangs would otherwise run in the
 block interpreter (:mod:`repro.arch.block_interp`) until the cycle
 budget.  This module proves most such hangs in closed form instead.
 
@@ -37,7 +37,7 @@ which an exit branch could be taken or an address could reach
 :data:`repro.arch.cpu.MEMORY_LIMIT`.  If none can before
 ``T = ceil((max_cycles - cycles) / min_len)`` iterations, where
 ``min_len`` is the loop's shortest header-to-header path in cycles, the
-lane executes at least ``max_cycles - cycles`` more instructions with no
+trial executes at least ``max_cycles - cycles`` more instructions with no
 ``HALT`` and no crash — exactly when :meth:`repro.arch.cpu.CPU.step`
 raises ``TimeoutError``, so the trial is ``HANG``.  See
 ``docs/fi-engine.md``.

@@ -505,7 +505,7 @@ def build_parser():
     engines.add_argument(
         "--reference-engine", action="store_true",
         help="force the full-rerun reference fault-injection engine instead "
-             "of the trial-vectorized batched engine (records are "
+             "of the batched suffix-replay engine (records are "
              "bit-identical — see docs/fi-engine.md)",
     )
     steering = parser.add_argument_group(
@@ -781,7 +781,7 @@ def run_list(args):
         "(see docs/performance.md)"
     )
     print(
-        "fi runs on the trial-vectorized batched engine; pass "
+        "fi runs on the batched suffix-replay engine; pass "
         "--reference-engine\nto force the full-rerun reference path "
         "(see docs/fi-engine.md)"
     )

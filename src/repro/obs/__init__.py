@@ -220,6 +220,7 @@ from repro.obs.events import (  # noqa: E402
     EVENTS_FILENAME,
     iter_events,
     read_events,
+    trial_columns,
     trial_rows,
 )
 
@@ -232,6 +233,7 @@ __all__ = [
     "emit",
     "iter_events",
     "read_events",
+    "trial_columns",
     "trial_rows",
     "verify_record",
     "chrome_trace",

@@ -46,10 +46,10 @@ Emitted event types (see ``docs/observability.md`` for the full table):
                           reporting lag (``lag_s``)
 ``fi.golden``             a FI injector's golden run (``engine``,
                           ``program``, ``golden_cycles``)
-``fi.trials``             per-trial FI rows: ``items`` is a list of
-                          ``[cycle, element, bit, outcome]`` coordinates +
-                          classifications (one row per trial, framed per
-                          chunk so emission cost amortizes)
+``fi.trials``             per-trial FI data as four packed columns,
+                          ``cycle``, ``element``, ``bit`` and ``outcome``
+                          (:func:`trial_columns`; one entry per trial,
+                          framed per chunk so emission cost amortizes)
 ========================  ====================================================
 
 Bounded overhead is the design contract: events are only built while
@@ -66,14 +66,18 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import time
+from base64 import b64decode, b64encode
+from operator import itemgetter
 from pathlib import Path
 
 #: Filename of the event stream inside a run directory.
 EVENTS_FILENAME = "events.jsonl"
 
-#: Bump when an event's standard fields change incompatibly.
-EVENTS_SCHEMA = 1
+#: Bump when an event's fields change incompatibly (2: ``fi.trials``
+#: carries packed columns instead of per-trial ``items`` rows).
+EVENTS_SCHEMA = 2
 
 #: Sink-bound logs flush after this many buffered lines, bounding both
 #: the syscall rate and how stale a live ``watch`` tail can be.
@@ -220,14 +224,50 @@ def read_events(path):
     return list(iter_events(path))
 
 
+#: The columns of an ``fi.trials`` frame, in row order.
+TRIAL_COLUMNS = ("cycle", "element", "bit", "outcome")
+
+
+def trial_columns(coords, labels):
+    """The columns of an ``fi.trials`` frame, each one JSON string.
+
+    ``coords`` are ``(cycle, element, bit)`` triples and ``labels``
+    their outcome labels.  ``cycle`` is base64 of little-endian int32s
+    (a plain list if a cycle does not fit), ``bit`` base64 of one byte
+    per bit index, and ``element`` and ``outcome`` are space-separated
+    names.  Four strings encode in a fraction of the time one JSON
+    value per trial and column takes, which is what keeps the recorder
+    inside its perf-smoke budget.  :func:`trial_rows` decodes them.
+    """
+    cycles = list(map(itemgetter(0), coords))
+    try:
+        cycle = b64encode(struct.pack(f"<{len(cycles)}i", *cycles)).decode()
+    except struct.error:
+        cycle = cycles
+    return {
+        "cycle": cycle,
+        "element": " ".join(map(itemgetter(1), coords)),
+        "bit": b64encode(bytes(map(itemgetter(2), coords))).decode(),
+        "outcome": " ".join(labels),
+    }
+
+
 def trial_rows(events):
     """Flatten ``fi.trials`` frames into per-trial rows.
 
     Returns ``[(cycle, element, bit, outcome), ...]`` in emission order —
     the training-ready view of a recorded fault-injection campaign.
+    Frames without the columns (``items`` rows of event schema 1) add
+    no rows, so :func:`repro.obs.verify_record` reports them as missing.
     """
     rows = []
     for event in events:
-        if event.get("ev") == "fi.trials":
-            rows.extend(tuple(item) for item in event.get("items", ()))
+        if event.get("ev") != "fi.trials" or "outcome" not in event:
+            continue
+        cycle = event["cycle"]
+        if isinstance(cycle, str):
+            raw = b64decode(cycle)
+            cycle = struct.unpack(f"<{len(raw) // 4}i", raw)
+        rows.extend(zip(cycle, event["element"].split(),
+                        b64decode(event["bit"]), event["outcome"].split()))
     return rows

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import re
 
+from repro.obs.events import TRIAL_COLUMNS
 from repro.obs.metrics import QUANTILES
 
 #: Synthetic pid/tid layout of the Chrome trace: aggregated span slices
@@ -118,7 +119,8 @@ def chrome_trace(record, events=None):
                 "cat": "event",
                 "args": {
                     k: v for k, v in event.items()
-                    if k not in ("ev", "t") and not isinstance(v, (list, dict))
+                    if k not in ("ev", "t", *TRIAL_COLUMNS)
+                    and not isinstance(v, (list, dict))
                 },
             })
     return {

@@ -39,6 +39,13 @@ from repro.obs.report import layer_breakdown
 #: Bump when a record line's fields change incompatibly.
 RUN_RECORD_SCHEMA = 1
 
+#: Counters of the batched engine's trial paths: every trial it records
+#: is out of the golden window, pruned as dead, a register trial or a
+#: ``pc``/``ir`` trial, exactly one of them.
+ENGINE_PATHS = tuple(f"arch.fi.engine.{name}" for name in (
+    "out_of_window", "pruned_dead", "batch.lanes", "batch.offtrace_trials",
+))
+
 RECORD_FILENAME = "record.jsonl"
 
 
@@ -262,9 +269,11 @@ def verify_record(run_dir):
     Every run needs the current schema, status ``ok``, no dropped events
     and non-empty span and metric lines.  An ``fi`` run must also span
     >= 3 layers, have one ``fi.trials`` row per histogram entry and hold
-    its configured (steered: executed) trial count, and prove no more
-    hangs (``arch.fi.engine.hangs_proven``) than it has ``HANG`` rows.
-    A steered run's
+    its configured (steered: executed) trial count, prove no more hangs
+    (``arch.fi.engine.hangs_proven``) than it has ``HANG`` rows, count no
+    more ``pc`` flips out of the program (``arch.fi.engine.pc_outside``)
+    than it has ``CRASH`` rows, and send each batched-engine row down
+    exactly one engine path (:data:`ENGINE_PATHS`).  A steered run's
     ``steer.*`` events and ``arch.fi.steering.*`` counters must match its
     resolved summary, with no refit.
     """
@@ -284,6 +293,10 @@ def verify_record(run_dir):
         path = Path(record["path"]).parent / meta.get("events_file", EVENTS_FILENAME)
         events = read_events(path) if path.is_file() else []
         rows = Counter(row[3] for row in trial_rows(events))
+        batched_rows = len(trial_rows(
+            e for e in events
+            if e.get("ev") == "fi.trials" and e.get("engine") == "batched"))
+        counters = record["metrics"].get("counters", {})
         histogram = record["outcomes"]["histogram"]
         steering = config.get("resolved", {}).get("steering") or {}
         facts += [
@@ -295,9 +308,14 @@ def verify_record(run_dir):
              steering.get("trials_executed", config.get("trials")),
              "histogram trials vs configured (steered: executed) trials"),
             (bool(steering), bool(config.get("steer")), "resolved steering"),
-            (max(0, record["metrics"].get("counters", {}).get(
-                "arch.fi.engine.hangs_proven", 0) - rows["hang"]), 0,
+            (max(0, counters.get("arch.fi.engine.hangs_proven", 0)
+                 - rows["hang"]), 0,
              "hangs proven beyond HANG fi.trials rows"),
+            (max(0, counters.get("arch.fi.engine.pc_outside", 0)
+                 - rows["crash"]), 0,
+             "pc flips outside the program beyond CRASH fi.trials rows"),
+            (sum(counters.get(name, 0) for name in ENGINE_PATHS), batched_rows,
+             "engine path counters vs batched-engine fi.trials rows"),
         ]
         if steering:
             facts += _steering_facts(steering, events, record["metrics"],

@@ -138,8 +138,7 @@ class WatchState:
         elif ev == "worker.heartbeat":
             self._attribute(event.get("unit"), event.get("worker"), t)
         elif ev == "fi.trials":
-            for item in event.get("items", ()):
-                label = item[3] if len(item) > 3 else "?"
+            for label in event.get("outcome", "").split():
                 self.histogram[label] = self.histogram.get(label, 0) + 1
 
     def _attribute(self, unit, worker, t, finished=False):

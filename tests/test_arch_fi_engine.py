@@ -1,15 +1,13 @@
 """FI engine equivalence: batched vs the reference oracle.
 
 The reference engine re-executes every trial from cycle 0 and is kept
-as the oracle; the batched engine runs whole chunks of trials in
-lockstep down the golden trace as numpy lanes, retires a lane when it
-halts in lockstep or crashes, and falls out to the block-compiled
-interpreter on divergence.  Every test here pins the
-contract that both engines produce bit-identical
-:class:`InjectionRecord`\\ s — outcomes, injection context, everything.
-Single-coordinate :meth:`FaultInjector.inject_many` calls force
-one-lane sweeps, so the per-trial tests exercise every lane in
-isolation.
+as the oracle; the batched engine fast-forwards golden state to each
+trial's injection cycle and runs the faulty suffix on the
+block-compiled interpreter.  Every test here pins the contract that
+both engines produce bit-identical :class:`InjectionRecord`\\ s —
+outcomes, injection context, everything.  Single-coordinate
+:meth:`FaultInjector.inject_many` calls force one-trial sweeps, so the
+per-trial tests exercise every trial in isolation.
 """
 
 import json
@@ -39,9 +37,39 @@ def _pair(program, **kwargs):
 
 
 def _one(injector, cycle, element, bit):
-    """One trial as a single-coordinate (one-lane) sweep."""
+    """One trial as a single-coordinate (one-trial) sweep."""
     (record,) = injector.inject_many([(cycle, element, bit)])
     return record
+
+
+def _one_counted(injector, coord):
+    """``(record, engine counters)`` of one coordinate as a one-trial sweep.
+
+    Counter names lose their ``arch.fi.engine.`` prefix.
+    """
+    with obs.collecting():
+        record = _one(injector, *coord)
+        counters = obs.metrics_snapshot()["counters"]
+    prefix = "arch.fi.engine."
+    return record, {
+        name[len(prefix):]: value for name, value in counters.items()
+        if name.startswith(prefix)
+    }
+
+
+def _simulated_cycles(injector, coord):
+    """Cycles the oracle simulates after the fault of ``coord``.
+
+    The cycles to halt or to the budget, less the injection cycle and,
+    for ``ir``, the one :meth:`CPU.step` that consumes the fault.
+    """
+    cpu = CPU(injector.program, max_cycles=injector.max_cycles)
+    try:
+        cpu.run(fault=coord)
+    except TimeoutError:
+        pass
+    cycle, element, _ = coord
+    return cpu.cycles - cycle - (element == "ir")
 
 
 def _without_certificate(monkeypatch):
@@ -281,72 +309,53 @@ class TestEngineInternals:
         assert cpu.cycles == 10
 
     def test_batched_engine_emits_ladder_metrics(self):
-        # A live flip whose effect dies out runs the golden suffix in
-        # lockstep and classifies at HALT, like any other lane.
+        # A live flip whose effect dies out runs the golden suffix on
+        # the block runner and classifies at HALT, like any other trial.
         program = P.dot_product(8)
         coord = (12, "reg3", 31)
-        with obs.collecting():
-            batched = FaultInjector(program, engine="batched")
-            records = batched.inject_many([coord])
-            counters = obs.metrics_snapshot()["counters"]
+        batched = FaultInjector(program, engine="batched")
+        record, counters = _one_counted(batched, coord)
         reference = FaultInjector(program, engine="reference")
-        assert records == reference.inject_many([coord])
-        assert records[0].outcome is Outcome.MASKED
-        assert counters["arch.fi.engine.batch.lanes"] == 1
-        assert _engine_counters(counters) == _LANE_COUNTERS
+        assert record == _one(reference, *coord)
+        assert record.outcome is Outcome.MASKED
+        assert counters == {
+            "batch.lanes": 1,
+            "block_cycles": batched.golden_cycles - coord[0],
+        }
 
     def test_reconverged_flip_halts_in_lockstep(self):
-        # A masked live flip stays in lockstep from its injection cycle
-        # to HALT: every suffix cycle before HALT is one vector cycle of
-        # its one lane.
+        # A masked live flip follows the golden trace from its injection
+        # cycle to HALT: the block runner simulates exactly the golden
+        # suffix, HALT included.
         program = P.fir_filter()
         coord = (9, "reg6", 31)
-        with obs.collecting():
-            batched = FaultInjector(program, engine="batched")
-            records = batched.inject_many([coord])
-            counters = obs.metrics_snapshot()["counters"]
+        batched = FaultInjector(program, engine="batched")
+        record, counters = _one_counted(batched, coord)
         reference = FaultInjector(program, engine="reference")
-        assert records == reference.inject_many([coord])
-        assert records[0].outcome is Outcome.MASKED
-        assert counters["arch.fi.engine.batch.lanes"] == 1
-        assert counters["arch.fi.engine.batch.divergences"] == 0
-        assert (
-            counters["arch.fi.engine.batch.vector_cycles"]
-            == batched.golden_cycles - coord[0] - 1
-        )
-        assert _engine_counters(counters) == _LANE_COUNTERS
-
-
-#: Every engine counter a one-lane sweep that halts in lockstep emits:
-#: a lane retires only at HALT, on a crash or on divergence, so no
-#: counter tallies any other retirement.
-_LANE_COUNTERS = {
-    "arch.fi.engine." + name for name in (
-        "cycles_replayed", "batch.groups", "batch.lanes", "batch.vector_cycles",
-        "batch.lane_cycles", "batch.divergences",
-    )
-}
-
-
-def _engine_counters(counters):
-    """The ``arch.fi.engine.*`` counter names in a metrics snapshot."""
-    return {name for name in counters if name.startswith("arch.fi.engine.")}
+        assert record == _one(reference, *coord)
+        assert record.outcome is Outcome.MASKED
+        assert counters == {
+            "batch.lanes": 1,
+            "block_cycles": batched.golden_cycles - coord[0],
+        }
 
 
 class TestBatchedEngine:
     def test_divergence_falls_back_and_classifies_identically(self):
-        # A trial whose branch direction leaves the golden trace must
-        # drop out of the lockstep sweep and still classify exactly as
-        # the oracle engine does.
+        # A trial whose branch direction leaves the golden trace runs a
+        # suffix of its own length and still classifies exactly as the
+        # oracle engine does.
         program = P.bubble_sort(6)
         coord = (3, "reg1", 0)
         ref, batched = _pair(program)
         expected = _one(ref, *coord)
-        with obs.collecting():
-            # inject_many forces the batch path even for one trial
-            assert batched.inject_many([coord]) == [expected]
-            counters = obs.metrics_snapshot()["counters"]
-        assert counters["arch.fi.engine.batch.divergences"] == 1
+        # inject_many forces the batch path even for one trial
+        record, counters = _one_counted(batched, coord)
+        assert record == expected
+        assert record.outcome is Outcome.SDC
+        assert counters["batch.lanes"] == 1
+        assert counters["block_cycles"] == _simulated_cycles(ref, coord)
+        assert counters["block_cycles"] != batched.golden_cycles - coord[0]
 
     def test_single_trial_api_matches_batch_api(self):
         # A trial's record must not depend on which other lanes share
@@ -421,24 +430,73 @@ class TestBatchedEngine:
         assert counters["arch.fi.engine.batch.offtrace_trials"] == len(coords) // 2
         assert counters["arch.fi.engine.batch.lanes"] == len(coords) // 2
 
+    @pytest.mark.parametrize("program", P.all_programs(), ids=lambda p: p.name)
+    def test_pc_flips_enter_the_block_runner_at_every_pc(self, program):
+        # Every in-program PC is the landing point of some pc flip; the
+        # first and last golden cycles that reach it enter the block
+        # runner there, mid-block or not, and must match the oracle.
+        ref, batched = _pair(program)
+        n = len(program.instructions)
+        landings = {}
+        for cycle, pc in enumerate(batched.golden_pc_trace):
+            for bit in range(32):
+                landings.setdefault(pc ^ (1 << bit), []).append(
+                    (cycle, "pc", bit))
+        assert set(range(n)) <= set(landings)
+        coords = sorted({c for pc in range(n)
+                         for c in (landings[pc][0], landings[pc][-1])})
+        with obs.collecting():
+            records = batched.inject_many(coords)
+            counters = obs.metrics_snapshot()["counters"]
+        assert records == ref.inject_many(coords)
+        assert counters["arch.fi.engine.batch.offtrace_trials"] == len(coords)
+        assert "arch.fi.engine.pc_outside" not in counters
+
+    def test_pc_flips_outside_the_program_crash_unrun(self):
+        # A pc flip that lands past the last instruction is CRASH on the
+        # first fetch: nothing is simulated.
+        ref, batched = _pair(P.checksum(16))
+        n = len(batched.program.instructions)
+        coords = [(c, "pc", b) for c in (0, 9, batched.golden_cycles - 1)
+                  for b in (5, 20, 31)
+                  if batched.golden_pc_trace[c] ^ (1 << b) >= n]
+        with obs.collecting():
+            records = batched.inject_many(coords)
+            counters = obs.metrics_snapshot()["counters"]
+        assert records == ref.inject_many(coords)
+        assert {r.outcome for r in records} == {Outcome.CRASH}
+        assert counters["arch.fi.engine.pc_outside"] == len(coords) == 9
+        assert "arch.fi.engine.block_cycles" not in counters
+
     @pytest.mark.parametrize(
         "program", P.all_programs(), ids=lambda program: program.name
     )
     def test_power_on_fast_forward_reaches_the_last_cycles(self, program):
         # Every sweep starts at power-on, so a lone trial two cycles
         # before HALT fast-forwards golden state over the whole prefix.
+        # Every cycle the oracle simulates after the fault is either run
+        # on the block runner or skipped by a hang proof; a pc flip out
+        # of the program, or a crash, ends the trial.
         ref, batched = _pair(program)
         c = batched.golden_cycles - 2
         reg = next(
             r for r in range(1, 16) if c in batched.live_cycles(f"reg{r}")
         )
         for coord in ((c, f"reg{reg}", 3), (c, "pc", 1), (c, "ir", 20)):
-            with obs.collecting():
-                record = _one(batched, *coord)
-                counters = obs.metrics_snapshot()["counters"]
+            record, counters = _one_counted(batched, coord)
             assert record == _one(ref, *coord)
-            assert counters["arch.fi.engine.cycles_replayed"] == c
-            assert counters["arch.fi.engine.batch.groups"] == 1
+            register = coord[1].startswith("reg")
+            assert counters["batch.lanes"] == register
+            assert counters.get("batch.offtrace_trials", 0) == (not register)
+            if record.outcome is Outcome.CRASH:
+                continue
+            assert (
+                counters["block_cycles"]
+                + counters.get("hang_cycles_skipped", 0)
+                == _simulated_cycles(ref, coord)
+            )
+            assert counters.get("hangs_proven", 0) == (
+                record.outcome is Outcome.HANG)
 
     def test_batch_occupancy_metrics(self):
         program = P.dot_product(8)
@@ -449,19 +507,17 @@ class TestBatchedEngine:
             for b in (1, 30)
         ]
         with obs.collecting():
-            batched.inject_many(coords)
+            records = batched.inject_many(coords)
             counters = obs.metrics_snapshot()["counters"]
+        assert records == FaultInjector(program, engine="reference").inject_many(
+            coords)
         assert counters.get("arch.fi.engine.pruned_dead", 0) == 0
-        assert counters["arch.fi.engine.batch.groups"] >= 1
         assert counters["arch.fi.engine.batch.lanes"] == len(coords)
-        assert counters["arch.fi.engine.batch.vector_cycles"] > 0
-        # Occupancy: lane-cycles per vector-cycle is the mean active
-        # width; it can never exceed the lane count.
-        assert (
-            counters["arch.fi.engine.batch.lane_cycles"]
-            <= counters["arch.fi.engine.batch.lanes"]
-            * counters["arch.fi.engine.batch.vector_cycles"]
-        )
+        assert "arch.fi.engine.batch.offtrace_trials" not in counters
+        # The block runner simulates each trial from its injection cycle
+        # at most to the cycle budget.
+        assert 0 < counters["arch.fi.engine.block_cycles"] <= sum(
+            batched.max_cycles - cycle for cycle, _, _ in coords)
 
     def test_uniform_campaign_trial_accounting(self):
         # Every trial takes exactly one engine path: pruned as dead, a

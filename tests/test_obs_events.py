@@ -7,7 +7,13 @@ from collections import Counter
 import pytest
 
 from repro import obs
-from repro.obs import RunRecorder, load_run_record, read_events, trial_rows
+from repro.obs import (
+    RunRecorder,
+    load_run_record,
+    read_events,
+    trial_columns,
+    trial_rows,
+)
 from repro.obs.events import (
     EVENTS_FILENAME,
     EVENTS_SCHEMA,
@@ -132,16 +138,33 @@ class TestTornTailReader:
 class TestTrialRows:
     def test_flattens_frames_in_order(self):
         events = [
-            {"ev": "fi.trials", "items": [[1, "reg3", 7, "masked"],
-                                          [2, "pc", 0, "crash"]]},
+            {"ev": "fi.trials", **trial_columns(
+                [(1, "reg3", 7), (2, "pc", 0)], ["masked", "crash"])},
             {"ev": "unit.finish", "unit": 0},
-            {"ev": "fi.trials", "items": [[3, "reg1", 2, "sdc"]]},
+            {"ev": "fi.trials", **trial_columns([(3, "reg1", 2)], ["sdc"])},
         ]
+        events = json.loads(json.dumps(events))  # as read back from disk
         assert trial_rows(events) == [
             (1, "reg3", 7, "masked"),
             (2, "pc", 0, "crash"),
             (3, "reg1", 2, "sdc"),
         ]
+
+    def test_schema_1_item_rows_are_not_read(self):
+        events = [{"ev": "fi.trials", "items": [[1, "reg3", 7, "masked"]]}]
+        assert trial_rows(events) == []
+
+    def test_columns_round_trip_any_cycle(self):
+        # A cycle outside int32 keeps the cycle column a plain list.
+        for cycles in ([0, -1, 2**31 - 1, -2**31], [2**31, 5], [-2**31 - 1]):
+            coords = [(c, "ir", 31) for c in cycles]
+            frame = json.loads(json.dumps(
+                {"ev": "fi.trials",
+                 **trial_columns(coords, ["hang"] * len(coords))}
+            ))
+            assert isinstance(frame["cycle"], str) == (
+                -2**31 <= min(cycles) and max(cycles) < 2**31)
+            assert trial_rows([frame]) == [c + ("hang",) for c in coords]
 
 
 class TestCaptureAbsorbEvents:

@@ -10,7 +10,13 @@ import json
 from pathlib import Path
 
 from repro import obs
-from repro.obs import RunRecorder, chrome_trace, load_run_record, prometheus_text
+from repro.obs import (
+    RunRecorder,
+    chrome_trace,
+    load_run_record,
+    prometheus_text,
+    trial_columns,
+)
 from repro.obs.export import (
     EVENT_PID,
     SPAN_PID,
@@ -94,7 +100,7 @@ class TestChromeTrace:
         events = [
             {"ev": "campaign.begin", "t": 100.0, "pid": 7, "trials": 64},
             {"ev": "fi.trials", "t": 100.5, "pid": 7,
-             "items": [[1, "pc", 0, "crash"]]},
+             **trial_columns([(1, "pc", 0)], ["crash"])},
         ]
         document = chrome_trace(_record(), events=events)
         assert CHECKERS.check_chrome_trace(document) == []
@@ -103,8 +109,8 @@ class TestChromeTrace:
         assert instants[0]["ts"] == 0.0
         assert instants[1]["ts"] == 0.5 * 1e6
         assert all(e["pid"] == EVENT_PID for e in instants)
-        # Bulky list/dict payloads (fi.trials frames) stay out of args.
-        assert "items" not in instants[1]["args"]
+        # Bulky payloads (fi.trials columns) stay out of args.
+        assert instants[1]["args"] == {"pid": 7}
         assert instants[0]["args"]["trials"] == 64
 
     def test_write_chrome_trace_is_loadable_json(self, tmp_path):

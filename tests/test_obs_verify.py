@@ -13,7 +13,14 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.obs import EVENTS_FILENAME, verify_record
+from repro.obs import (
+    EVENTS_FILENAME,
+    load_run_record,
+    trial_columns,
+    trial_rows,
+    verify_record,
+)
+from repro.obs.record import ENGINE_PATHS
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +51,9 @@ def _tampered(run_dir, tmp_path, edit):
 
 def _drop_one_trial_row(events):
     frame = next(e for e in events if e["ev"] == "fi.trials")
-    frame["items"] = frame["items"][1:]
+    rows = trial_rows([frame])[1:]
+    frame.update(trial_columns([row[:3] for row in rows],
+                               [row[3] for row in rows]))
     return events
 
 
@@ -91,14 +100,50 @@ def test_report_check_exit_codes(recorded, tmp_path, capsys):
     assert out.startswith("FAIL ") and "fi.trials rows" in out
 
 
-def test_more_proven_hangs_than_hang_rows_is_flagged(recorded, tmp_path):
-    copy = tmp_path / recorded["uniform"].name
-    shutil.copytree(recorded["uniform"], copy)
+def _tampered_counters(run_dir, tmp_path, edit):
+    """Copy ``run_dir`` and apply ``edit(counters, histogram)`` to its record."""
+    copy = tmp_path / run_dir.name
+    shutil.copytree(run_dir, copy)
     path = copy / "record.jsonl"
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    hangs = next(x for x in lines if x.get("type") == "outcomes")["histogram"]
+    histogram = next(x for x in lines if x.get("type") == "outcomes")["histogram"]
     metrics = next(x for x in lines if x.get("type") == "metrics")
-    metrics["counters"]["arch.fi.engine.hangs_proven"] = hangs["hang"] + 2
+    edit(metrics["counters"], histogram)
     path.write_text("".join(json.dumps(x) + "\n" for x in lines))
-    assert verify_record(copy) == [
+    return copy
+
+
+def test_more_proven_hangs_than_hang_rows_is_flagged(recorded, tmp_path):
+    def edit(counters, histogram):
+        counters["arch.fi.engine.hangs_proven"] = histogram["hang"] + 2
+
+    assert verify_record(_tampered_counters(recorded["uniform"], tmp_path, edit)) == [
         "hangs proven beyond HANG fi.trials rows: 2 != 0"]
+
+
+def test_more_pc_flips_outside_than_crash_rows_is_flagged(recorded, tmp_path):
+    def edit(counters, histogram):
+        counters["arch.fi.engine.pc_outside"] = histogram["crash"] + 1
+
+    assert verify_record(_tampered_counters(recorded["uniform"], tmp_path, edit)) == [
+        "pc flips outside the program beyond CRASH fi.trials rows: 1 != 0"]
+
+
+@pytest.mark.parametrize("name", ["uniform", "steered"])
+@pytest.mark.parametrize("counter", ["batch.lanes", "pruned_dead"])
+def test_trial_path_counters_must_add_up_to_the_rows(recorded, tmp_path,
+                                                     name, counter):
+    # Every batched-engine trial takes exactly one path: out of the
+    # window, pruned as dead, a register trial or a pc/ir trial.
+    counters = load_run_record(recorded[name])["metrics"]["counters"]
+    rows = sum(counters.get(path, 0) for path in ENGINE_PATHS)
+    assert rows == sum(load_run_record(recorded[name])["outcomes"][
+        "histogram"].values())
+
+    def edit(counters, histogram):
+        key = "arch.fi.engine." + counter
+        counters[key] = counters.get(key, 0) + 1
+
+    assert verify_record(_tampered_counters(recorded[name], tmp_path, edit)) == [
+        "engine path counters vs batched-engine fi.trials rows: "
+        f"{rows + 1} != {rows}"]
