@@ -1,8 +1,9 @@
 """Architecture-level reliability (Sec. III).
 
 Substrate: a small RISC ISA (:mod:`repro.arch.isa`), a CPU simulator with
-explicit, injectable state elements (:mod:`repro.arch.cpu`), and a set of
-workload programs (:mod:`repro.arch.programs`).
+explicit, injectable state elements (:mod:`repro.arch.cpu`), a set of
+workload programs (:mod:`repro.arch.programs`), and the one golden trace
+of a program every analysis reads (:mod:`repro.arch.golden`).
 
 On top of it, the surveyed ML techniques:
 
@@ -39,7 +40,7 @@ from repro.arch.steering import (
     SteeringConfig,
     run_steered_campaign,
 )
-from repro.arch.vulnerability import element_features, vulnerability_table, avf
+from repro.arch.vulnerability import element_features, vulnerability_table
 from repro.arch.ml_fi_acceleration import FIAccelerationStudy
 from repro.arch.scale_prediction import ScalePredictionStudy
 from repro.arch.pattern_mining import PatternMiner
@@ -73,7 +74,6 @@ __all__ = [
     "run_steered_campaign",
     "element_features",
     "vulnerability_table",
-    "avf",
     "FIAccelerationStudy",
     "ScalePredictionStudy",
     "PatternMiner",

@@ -1,12 +1,12 @@
 """Per-trial suffix engine for fault injection (block-compiled replay).
 
-A trial never re-executes the fault-free prefix: one golden recording
-pass stores each cycle's architectural effects (the written register
-and value, the store address and value), so golden state at any cycle
-is a cheap fast-forward from power-on.  One sweep sorts a batch's
-trials by injection cycle and walks golden state forward once; at each
-trial's cycle it applies the fault to golden state and runs the
-post-fault suffix on the block-compiled interpreter
+A trial never re-executes the fault-free prefix: the injector's golden
+trace (:mod:`repro.arch.golden`) holds each cycle's architectural
+effects (the written register and value, the store address and value),
+so golden state at any cycle is a cheap fast-forward from power-on.
+One sweep sorts a batch's trials by injection cycle and walks golden
+state forward once; at each trial's cycle it applies the fault to
+golden state and runs the post-fault suffix on the block interpreter
 (:mod:`repro.arch.block_interp`), which accepts any entry PC:
 
 * **register flip** — the golden registers with one bit flipped
@@ -30,12 +30,12 @@ from operator import itemgetter
 
 from repro import obs
 from repro.arch.block_interp import AT_HEADER, CRASHED, HALTED, BlockProgram
-from repro.arch.cpu import CPU, CPUSnapshot, CrashError, STATE_ELEMENTS
+from repro.arch.cpu import CPUSnapshot, CrashError, STATE_ELEMENTS
 
 # Safe despite the mutual relationship: fault_injection only imports
 # this module lazily, from inside FaultInjector._batched_engine().
 from repro.arch.fault_injection import Outcome
-from repro.arch.isa import N_REGISTERS, WORD_MASK, Opcode
+from repro.arch.isa import N_REGISTERS
 
 _PC = STATE_ELEMENTS.index("pc")
 
@@ -44,50 +44,21 @@ class BatchedEngine:
     """Runs a batch of trials from one injector's golden trace.
 
     Built lazily, once per injector object, by
-    :meth:`repro.arch.fault_injection.FaultInjector.inject_many`; one
-    golden recording pass precomputes, per cycle, the golden run's
-    architectural effects — written register/value, store
-    address/value — which each sweep uses to fast-forward golden state.
+    :meth:`repro.arch.fault_injection.FaultInjector.inject_many`; it
+    compiles the program's blocks and steps nothing: each sweep
+    fast-forwards golden state with the per-cycle effects of the
+    injector's :class:`repro.arch.golden.GoldenTrace`.
     """
 
     def __init__(self, injector):
-        """Precompute per-cycle golden effects."""
+        """Compile the program's blocks; golden effects come from the trace."""
         self._inj = injector
-        program = injector.program
-        n = injector.golden_cycles
-        instructions = program.instructions
-
-        # Plain lists: the sweep reads them one cycle at a time.
-        g_written = [-1] * n
-        g_value = [0] * n
-        g_staddr = [-1] * n
-        g_stval = [0] * n
-
-        cpu = CPU(program, max_cycles=n + 1)
-        c = 0
-        with obs.span("arch.golden", program=program.name):
-            while not cpu.halted:
-                instr = instructions[cpu.pc]
-                if instr.opcode is Opcode.ST:
-                    g_staddr[c] = (cpu.registers[instr.rs1] + instr.imm) & WORD_MASK
-                    g_stval[c] = cpu.registers[instr.rs2]
-                cpu.step()
-                written = instr.writes
-                if written:  # writes to r0 are dropped: golden value unchanged
-                    g_written[c] = written
-                    g_value[c] = cpu.registers[written]
-                c += 1
-
-        self._g_written = g_written
-        self._g_value = g_value
-        self._g_staddr = g_staddr
-        self._g_stval = g_stval
-        self._mem_base = program.initial_memory
-        self._trace = injector.golden_pc_trace
-        self._block = BlockProgram(program)
+        self._golden = injector.golden
+        self._mem_base = injector.program.initial_memory
+        self._block = BlockProgram(injector.program)
         # A trial is first offered to a loop's hang certificate once it
         # has run as long as the whole golden run.
-        self._arm0 = (n,) * len(self._block.headers)
+        self._arm0 = (injector.golden_cycles,) * len(self._block.headers)
         self._counts = [0, 0, 0]  # hangs proven, cycles skipped, block cycles
 
     def run(self, lanes):
@@ -98,11 +69,9 @@ class BatchedEngine:
         into :data:`repro.arch.cpu.STATE_ELEMENTS`; keys are returned
         untouched so the caller can restore submission order.
         """
-        g_written = self._g_written
-        g_value = self._g_value
-        g_staddr = self._g_staddr
-        g_stval = self._g_stval
-        trace = self._trace
+        g = self._golden
+        g_written, g_value, g_staddr, g_stval = g.written, g.value, g.staddr, g.stval
+        trace = g.pc_trace
         finish = self._finish_block
         n_instructions = len(self._inj.program.instructions)
 
@@ -165,7 +134,7 @@ class BatchedEngine:
         inj = self._inj
         cpu = inj._trial_cpu
         cpu.restore(CPUSnapshot(
-            registers=golden, pc=self._trace[cycle], cycles=cycle,
+            registers=golden, pc=self._golden.pc_trace[cycle], cycles=cycle,
             halted=False, mem_overlay=g_overlay, ir_fault=1 << bit,
         ))
         try:

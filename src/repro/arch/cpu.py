@@ -22,12 +22,13 @@ engine's scalar ``pc``/``ir`` starts and tails —
 O(registers + stores so far) instead of O(total memory footprint).
 
 :meth:`CPU.step` is the one scalar interpreter: the ``reference`` engine,
-the golden runs and the batched engine's scalar stretches all use it.
+the one golden recording pass (:mod:`repro.arch.golden`) and the batched
+engine's scalar stretches all use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch.isa import (
     ARITH_OPS,
@@ -61,8 +62,6 @@ class ExecutionResult:
     cycles: int
     memory: dict
     registers: list
-    trace_reads: dict = field(default_factory=dict)  # reg -> read count
-    trace_writes: dict = field(default_factory=dict)  # reg -> write count
 
     def output(self, output_range):
         """The words of ``output_range`` (``(start, length)``) in final memory."""
@@ -143,8 +142,6 @@ class CPU:
         # (e.g. the run crashed before the next fetch) must not leak into
         # the next run of a reused CPU object.
         self._ir_fault = 0
-        self._reads = {}
-        self._writes = {}
 
     @property
     def memory(self):
@@ -189,8 +186,6 @@ class CPU:
         self.halted = snap.halted
         self._mem_overlay = dict(snap.mem_overlay)
         self._ir_fault = snap.ir_fault
-        self._reads = {}
-        self._writes = {}
 
     # -- state-element access (the fault-injection surface) -------------------
     def state_elements(self):
@@ -235,11 +230,9 @@ class CPU:
             raise TimeoutError(f"exceeded {self.max_cycles} cycles")
 
     def _read(self, reg):
-        self._reads[reg] = self._reads.get(reg, 0) + 1
         return 0 if reg == 0 else self.registers[reg]
 
     def _write(self, reg, value):
-        self._writes[reg] = self._writes.get(reg, 0) + 1
         if reg != 0:
             self.registers[reg] = value & WORD_MASK
 
@@ -332,6 +325,4 @@ class CPU:
             cycles=self.cycles,
             memory=self.memory,
             registers=list(self.registers),
-            trace_reads=dict(self._reads),
-            trace_writes=dict(self._writes),
         )

@@ -18,15 +18,14 @@ seed stream, so campaigns can fan out over worker processes (``jobs``),
 memoize chunks on disk (``cache``), and report progress — with results
 bit-identical to the serial path.  See ``docs/campaigns.md``.
 
-Trial execution runs on one of two engines (``engine=``):
+An injector records its program's golden trace once
+(:mod:`repro.arch.golden`) and runs trials on one of two engines
+(``engine=``):
 
-* ``"batched"`` (default) — suffix replay: register flips into a
-  register the golden run overwrites before reading (the un-ACE
-  coordinates of a per-cycle liveness mask) are answered ``MASKED``
-  without running; one sweep per chunk fast-forwards golden state from
-  power-on through each trial's injection cycle, and every trial runs
-  its faulty suffix from there on the block-compiled interpreter
-  (:mod:`repro.arch.batched_engine`).
+* ``"batched"`` (default) — register flips the trace's liveness mask
+  shows dead (un-ACE) are answered ``MASKED`` unrun; every other trial
+  runs its faulty suffix from golden state at its injection cycle on
+  the block-compiled interpreter (:mod:`repro.arch.batched_engine`).
 * ``"reference"`` — the original full re-execution from cycle 0, kept
   as the equivalence oracle (CLI: ``--reference-engine``).
 
@@ -48,6 +47,7 @@ import numpy as np
 
 from repro import obs
 from repro.arch.cpu import CPU, STATE_ELEMENTS, CrashError
+from repro.arch.golden import GoldenTrace
 from repro.arch.isa import N_REGISTERS
 from repro.runtime import CampaignRunner
 
@@ -59,9 +59,6 @@ ENGINES = ("batched", "reference")
 #: chunks; records are chunk-size-independent either way.
 DEFAULT_CHUNK_SIZE = 32
 BATCHED_CHUNK_SIZE = 1024
-
-#: Cycle budget for the golden (fault-free) characterization run.
-GOLDEN_MAX_CYCLES = 1_000_000
 
 #: State element -> index into ``STATE_ELEMENTS`` (``pc`` is 16).
 _ELEMENT_INDEX = {name: i for i, name in enumerate(STATE_ELEMENTS)}
@@ -205,60 +202,18 @@ class FaultInjector:
         self.last_run_stats = None  # RunStats of the most recent campaign
         self._batched = None  # lazy BatchedEngine (per object; unpickled)
 
-        # One golden run produces the output words, the cycle count and
-        # the per-cycle PC trace (which instruction was in flight at each
-        # cycle — pattern mining and the selective replication flow key
-        # on it).
-        cpu = CPU(program, max_cycles=GOLDEN_MAX_CYCLES)
-        trace = []
-        with obs.span("arch.golden", program=program.name):
-            while not cpu.halted:
-                trace.append(cpu.pc)
-                cpu.step()
-        self.golden_output = cpu.output(program.output_range)
-        self.golden_cycles = cpu.cycles
-        self.golden_pc_trace = trace
-        self.max_cycles = max(int(cpu.cycles * max_cycles_factor), cpu.cycles + 64)
-        self._live_mask = self._golden_liveness(trace)
-        # The golden instruction in flight at each cycle, as the
-        # (pc_at_injection, opcode_at_injection) every record carries
-        # (pattern mining keys on it); one shared tuple per instruction.
-        context = [
-            (pc, instr.opcode.value)
-            for pc, instr in enumerate(program.instructions)
-        ]
-        self._context = [context[pc] for pc in trace]
+        # One golden pass records the trace every consumer reads
+        # (:mod:`repro.arch.golden`); an unpickled copy reuses it.
+        golden = self.golden = GoldenTrace.record(program)
+        self.golden_output = golden.output
+        self.golden_cycles = n = golden.cycles
+        self.golden_pc_trace = golden.pc_trace
+        self.max_cycles = max(int(n * max_cycles_factor), n + 64)
         # Trials restore into one reusable CPU instead of building a fresh
         # simulator per injection.
         self._trial_cpu = CPU(program, max_cycles=self.max_cycles)
         obs.emit("fi.golden", engine=self.engine, program=program.name,
-                 golden_cycles=self.golden_cycles)
-
-    def _golden_liveness(self, trace):
-        """Golden live-in register bitmask at every cycle (``uint32``).
-
-        Bit ``r`` of entry ``c`` is set when the golden run reads
-        register ``r`` at or after cycle ``c`` before overwriting it.
-        A register the golden suffix never reads before overwriting
-        cannot influence anything the outcome classification observes
-        (output words and cycle count) — the ACE/un-ACE distinction of
-        AVF analysis.  So a flip into a clear bit is masked without
-        running it (:meth:`live_cycles`, the batched engine's pruning).
-        ``r0`` is hardwired to zero and never set.
-        """
-        instructions = self.program.instructions
-        kill = [
-            ~(1 << instr.writes) if instr.writes is not None else ~0
-            for instr in instructions
-        ]
-        gen = [sum(1 << r for r in set(instr.reads)) for instr in instructions]
-        masks = [0] * len(trace)
-        live = 0
-        for cycle in range(len(trace) - 1, -1, -1):
-            pc = trace[cycle]
-            live = (live & kill[pc]) | gen[pc]
-            masks[cycle] = live & ~1
-        return np.array(masks, np.uint32)
+                 golden_cycles=n)
 
     def live_cycles(self, element):
         """Sorted golden cycles at which a flip of ``element`` can matter.
@@ -271,7 +226,7 @@ class FaultInjector:
         if not element.startswith("reg"):
             return None
         bit = np.uint32(1 << int(element[3:]))
-        return np.flatnonzero(self._live_mask & bit)
+        return np.flatnonzero(self.golden.live_mask & bit)
 
     def _classify(self, output, cycles):
         """The Sec. III taxonomy for a completed (non-crash) run."""
@@ -307,7 +262,7 @@ class FaultInjector:
         else:
             outcomes = self._inject_batched(lanes)
         name = self.program.name
-        context = self._context
+        context = self.golden.context
         n = len(context)
         records = _RecordList([
             InjectionRecord(
@@ -336,7 +291,7 @@ class FaultInjector:
         if run:
             cycles, index = np.array([lane[1:3] for lane in run]).T
             live = (index >= N_REGISTERS) | (
-                self._live_mask[cycles] >> index.astype(np.uint32)
+                self.golden.live_mask[cycles] >> index.astype(np.uint32)
             ) & 1
             keep = np.flatnonzero(live)
             if keep.size < live.size:
@@ -495,7 +450,7 @@ class FaultInjector:
         :class:`repro.runtime.Transport` instance); every backend
         yields bit-identical records.  See ``docs/distributed.md``.
         """
-        elements = list(elements or CPU(self.program).state_elements())
+        elements = list(elements or STATE_ELEMENTS)
         worker = functools.partial(_random_chunk, self, tuple(elements))
         return self._campaign(worker, n_trials, seed, ("random", elements),
                               jobs, cache, progress, chunk_size, policy, resume,

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.cpu import CPU, CrashError
+from repro.arch.golden import GoldenTrace
 from repro.arch.isa import (
     ARITH_OPS,
     BRANCH_OPS,
@@ -193,47 +194,37 @@ def measure_protection(program, protected_indices, n_trials=300, seed=0):
     instructions execute (the fault window duplication covers).
     """
     protected_prog = protect_program(program, protected_indices)
-    base_golden = CPU(program, max_cycles=1_000_000).run()
-    prot_golden = CPU(protected_prog, max_cycles=1_000_000).run()
-    if prot_golden.output(program.output_range) != base_golden.output(
-        program.output_range
-    ):
+    base_golden = GoldenTrace.record(program)
+    prot_golden = GoldenTrace.record(protected_prog)
+    if prot_golden.output != base_golden.output:
         raise AssertionError("protection transform changed program semantics")
 
     rng = np.random.default_rng(seed)
 
-    def campaign(target, golden_cycles):
-        trace_cpu = CPU(target, max_cycles=1_000_000)
-        trace = []
-        while not trace_cpu.halted:
-            trace.append(trace_cpu.pc)
-            trace_cpu.step()
+    def campaign(target, golden):
         # Injectable cycles: right after a register-writing instruction.
         windows = [
             (cycle + 1, target.instructions[pc].writes)
-            for cycle, pc in enumerate(trace)
+            for cycle, pc in enumerate(golden.pc_trace)
             if target.instructions[pc].writes is not None
         ]
-        sdc = 0
-        detected = 0
+        sdc = detected = 0
         for _ in range(n_trials):
             cycle, rd = windows[rng.integers(len(windows))]
             bit = int(rng.integers(0, 32))
-            cpu = CPU(target, max_cycles=4 * golden_cycles + 1000)
+            cpu = CPU(target, max_cycles=4 * golden.cycles + 1000)
             try:
                 result = cpu.run(fault=(cycle, f"reg{rd}", bit))
             except (CrashError, TimeoutError):
                 continue
             if result.memory.get(DETECTION_FLAG_ADDR, 0) == DETECTION_FLAG_VALUE:
                 detected += 1
-            elif result.output(program.output_range) != base_golden.output(
-                program.output_range
-            ):
+            elif result.output(program.output_range) != base_golden.output:
                 sdc += 1
         return sdc / n_trials, detected / n_trials
 
-    sdc_base, _ = campaign(program, base_golden.cycles)
-    sdc_prot, det_prot = campaign(protected_prog, prot_golden.cycles)
+    sdc_base, _ = campaign(program, base_golden)
+    sdc_prot, det_prot = campaign(protected_prog, prot_golden)
     return MeasuredProtection(
         program_name=program.name,
         baseline_cycles=base_golden.cycles,

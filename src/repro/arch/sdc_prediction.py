@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arch.cpu import CPU
 from repro.arch.fault_injection import FaultInjector, Outcome
 from repro.arch.isa import BRANCH_OPS, MEMORY_OPS, Opcode
 from repro.ml.gnn import Graph, GraphAttentionClassifier
@@ -88,10 +87,7 @@ def label_instructions(program, n_trials_per_instruction=40, seed=0):
     """
     injector = FaultInjector(program)
     rng = np.random.default_rng(seed)
-    trace = injector.golden_pc_trace
-    cycles_by_pc = {}
-    for cycle, pc in enumerate(trace):
-        cycles_by_pc.setdefault(pc, []).append(cycle)
+    cycles_by_pc = injector.golden.cycles_by_pc()
     # Draw every executed instruction's trials first, then run them all
     # as one sweep; instruction ``executed[k]`` owns trial slice ``k``.
     executed = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.arch.fault_injection import FaultInjector, Outcome
-from repro.arch.isa import BRANCH_OPS, MEMORY_OPS, Opcode
+from repro.arch.isa import Opcode
 from repro.arch.sdc_prediction import instruction_node_features
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.svm import LinearSVC
@@ -74,12 +74,8 @@ class ReplicationStudy:
         """Fault-inject each executed instruction's destination; record SDCs."""
         injector = self._injectors[program.name]
         rng = np.random.default_rng(seed)
-        cycles_by_pc = {}
-        for cycle, pc in enumerate(injector.golden_pc_trace):
-            cycles_by_pc.setdefault(pc, []).append(cycle)
-        self._exec_counts[program.name] = {
-            pc: len(c) for pc, c in cycles_by_pc.items()
-        }
+        cycles_by_pc = injector.golden.cycles_by_pc()
+        self._exec_counts[program.name] = {pc: len(c) for pc, c in cycles_by_pc.items()}
         # Draw every instruction's trials first, then run them all as one
         # sweep; ``trials[j]`` is the instruction index of coordinate j.
         trials = []

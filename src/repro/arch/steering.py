@@ -54,6 +54,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro import obs
+from repro.arch.cpu import STATE_ELEMENTS
 from repro.arch.fault_injection import CampaignResult, Outcome
 from repro.runtime.stats import (
     hoeffding_halfwidth,
@@ -575,14 +576,12 @@ def run_steered_campaign(injector, budget=4096, seed=0, elements=None,
     """
     import functools
 
-    from repro.arch.cpu import CPU
     from repro.runtime.runner import CampaignRunner
 
     config = config or SteeringConfig()
     config.validate()
-    known = CPU(injector.program).state_elements()
-    elements = list(elements or known)
-    unknown = sorted(set(elements) - set(known))
+    elements = list(elements or STATE_ELEMENTS)
+    unknown = sorted(set(elements) - set(STATE_ELEMENTS))
     if unknown:
         raise ValueError(f"unknown element {unknown[0]!r}")
     source = SteeredUnitSource(

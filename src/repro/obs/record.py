@@ -268,7 +268,9 @@ def verify_record(run_dir):
 
     Every run needs the current schema, status ``ok``, no dropped events
     and non-empty span and metric lines.  An ``fi`` run must also span
-    >= 3 layers, have one ``fi.trials`` row per histogram entry and hold
+    >= 3 layers, have one ``fi.trials`` row per executed (not cached)
+    trial, and per outcome as many as the histogram when none was
+    cached (never more), and hold
     its configured (steered: executed) trial count, prove no more hangs
     (``arch.fi.engine.hangs_proven``) than it has ``HANG`` rows, count no
     more ``pc`` flips out of the program (``arch.fi.engine.pc_outside``)
@@ -298,12 +300,17 @@ def verify_record(run_dir):
             if e.get("ev") == "fi.trials" and e.get("engine") == "batched"))
         counters = record["metrics"].get("counters", {})
         histogram = record["outcomes"]["histogram"]
+        campaigns = record["campaigns"]["campaigns"]
+        cached = sum(c.get("cached_trials", 0) for c in campaigns)
         steering = config.get("resolved", {}).get("steering") or {}
         facts += [
             (len(layer_breakdown(record["spans"]["root"])) >= 3, True,
              "span tree covers >= 3 layers"),
-            (dict(rows), {k: v for k, v in histogram.items() if v},
-             "fi.trials rows vs outcome histogram"),
+            (sum(rows.values()),
+             sum(c.get("executed_trials", 0) for c in campaigns),
+             "fi.trials rows vs executed trials"),
+            ({k: v for k, v in rows.items() if v > histogram.get(k, 0)}, {},
+             "fi.trials rows beyond the outcome histogram"),
             (sum(histogram.values()),
              steering.get("trials_executed", config.get("trials")),
              "histogram trials vs configured (steered: executed) trials"),
@@ -317,6 +324,9 @@ def verify_record(run_dir):
             (sum(counters.get(name, 0) for name in ENGINE_PATHS), batched_rows,
              "engine path counters vs batched-engine fi.trials rows"),
         ]
+        if not cached:
+            facts.append((dict(rows), {k: v for k, v in histogram.items() if v},
+                          "fi.trials rows vs outcome histogram"))
         if steering:
             facts += _steering_facts(steering, events, record["metrics"],
                                      config.get("trials"))

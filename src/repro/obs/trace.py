@@ -84,9 +84,7 @@ def span_shape(node_dict):
 
     Two runs of the same campaign — serial or fanned out over any number
     of worker processes — must produce equal shapes; wall times are the
-    only thing allowed to differ.  The exception is a one-time build
-    inside the campaign, such as the batched FI engine's ``arch.golden``
-    pass, which appears once in each process that performs it.
+    only thing allowed to differ.
     """
     return {
         "name": node_dict["name"],

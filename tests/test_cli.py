@@ -122,10 +122,10 @@ class TestMain:
         assert "engine" not in config
         assert config["resolved"]["fi_engine"]["engine"] == "reference"
 
-    def test_fi_recorded_run_spans_both_golden_passes(self, capsys, tmp_path,
-                                                      monkeypatch):
-        """The injector's golden run and the batched engine's effect
-        recording each show as an ``arch.golden`` span."""
+    def test_fi_recorded_run_spans_one_golden_pass(self, capsys, tmp_path,
+                                                   monkeypatch):
+        """The injector's one golden recording pass is the run's only
+        ``arch.golden`` span: the batched engine reads its trace."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         runs = tmp_path / "runs"
         assert main(["fi", "--trials", "32", "--no-cache",
@@ -142,7 +142,7 @@ class TestMain:
                 walk(child)
 
         walk(load_run_record(runs)["spans"]["root"])
-        assert sorted(parents) == ["arch.cpu.batch", "cli.fi"]
+        assert parents == ["cli.fi"]
 
     def test_fi_recorded_run_counts_proven_hangs(self, capsys, tmp_path,
                                                  monkeypatch):

@@ -232,10 +232,6 @@ class TestFaultInjectionSpans:
         from repro.arch import programs as P
 
         injector = FaultInjector(P.fibonacci(6))
-        # The batched engine's one-time build is an ``arch.golden`` span
-        # in the first campaign to use it in a process.  Build it first
-        # so both trees show campaign work only.
-        injector._batched_engine()
         obs.enable()
         injector.run_campaign(n_trials=64, seed=2, jobs=1)
         serial = span_shape(obs.span_tree())
@@ -243,6 +239,24 @@ class TestFaultInjectionSpans:
         injector.run_campaign(n_trials=64, seed=2, jobs=4)
         parallel = span_shape(obs.span_tree())
         assert serial == parallel
+
+    def test_unpickled_injector_steps_no_golden_run(self):
+        import pickle
+
+        from repro.arch import FaultInjector
+        from repro.arch import programs as P
+
+        injector = pickle.loads(pickle.dumps(FaultInjector(P.fibonacci(6))))
+        obs.enable()
+        result = injector.run_campaign(n_trials=64, seed=2)
+        assert len(result.records) == 64
+
+        def names(node):
+            yield node["name"]
+            for child in node.get("children", ()):
+                yield from names(child)
+
+        assert "arch.golden" not in set(names(obs.span_tree()))
 
 
 class TestProgressTelemetry:

@@ -69,6 +69,37 @@ def test_missing_trial_row_is_flagged(recorded, tmp_path, name):
     assert any("fi.trials rows" in p for p in problems), problems
 
 
+def test_cached_runs_verify_clean(tmp_path, monkeypatch):
+    """Cached units emit no ``fi.trials`` rows: a repeated run (all
+    cached) and an extended one (partly cached) verify clean, and a
+    missing row, or rows beyond an outcome's histogram count, of the
+    partly cached run are still flagged."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    runs = []
+    for i, trials in enumerate(("1024", "1024", "1100")):
+        base = tmp_path / f"run{i}"
+        assert main(["fi", "--trials", trials, "--record", str(base)]) == 0
+        (run,) = base.iterdir()
+        runs.append(run)
+    cached = [load_run_record(run)["campaigns"]["campaigns"][0]["cached_trials"]
+              for run in runs]
+    assert cached == [0, 1024, 1024]
+    for run in runs:
+        assert verify_record(run) == []
+    problems = verify_record(_tampered(runs[2], tmp_path, _drop_one_trial_row))
+    assert "fi.trials rows vs executed trials: 75 != 76" in problems
+
+    def move_masked_to_sdc(counters, histogram):
+        histogram["sdc"] += histogram["masked"]
+        histogram["masked"] = 0
+
+    (tmp_path / "moved").mkdir()
+    problems = verify_record(
+        _tampered_counters(runs[2], tmp_path / "moved", move_masked_to_sdc))
+    assert len(problems) == 1 and problems[0].startswith(
+        "fi.trials rows beyond the outcome histogram: {'masked': "), problems
+
+
 def test_refit_event_is_flagged(recorded, tmp_path):
     def add_refit(events):
         return events + [{"ev": "steer.refit", "round": 0}]
