@@ -29,62 +29,42 @@ On top of it, the surveyed ML techniques:
   under input perturbation.
 """
 
-from repro.arch.isa import Instruction, Opcode, Program
-from repro.arch.assembler import assemble, AssemblyError
-from repro.arch.cpu import CPU, ExecutionResult, CrashError
-from repro.arch import programs
-from repro.arch.fault_injection import FaultInjector, Outcome, CampaignResult
-from repro.arch.steering import (
-    SteeredCampaignResult,
-    SteeredUnitSource,
-    SteeringConfig,
-    run_steered_campaign,
-)
-from repro.arch.vulnerability import element_features, vulnerability_table
-from repro.arch.ml_fi_acceleration import FIAccelerationStudy
-from repro.arch.scale_prediction import ScalePredictionStudy
-from repro.arch.pattern_mining import PatternMiner
-from repro.arch.sdc_prediction import build_instruction_graph, SDCPredictor
-from repro.arch.selective_replication import ReplicationStudy
-from repro.arch.replication_transform import (
-    protect_program,
-    measure_protection,
-    MeasuredProtection,
-)
-from repro.arch.crossbar import Crossbar, CrossbarFaultStudy
-from repro.arch.symptom_detection import SymptomDetector
-from repro.arch.warning_net import WarningNet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Instruction",
-    "Opcode",
-    "Program",
-    "assemble",
-    "AssemblyError",
-    "CPU",
-    "ExecutionResult",
-    "CrashError",
-    "programs",
-    "FaultInjector",
-    "Outcome",
-    "CampaignResult",
-    "SteeredCampaignResult",
-    "SteeredUnitSource",
-    "SteeringConfig",
-    "run_steered_campaign",
-    "element_features",
-    "vulnerability_table",
-    "FIAccelerationStudy",
-    "ScalePredictionStudy",
-    "PatternMiner",
-    "build_instruction_graph",
-    "SDCPredictor",
-    "ReplicationStudy",
-    "protect_program",
-    "measure_protection",
-    "MeasuredProtection",
-    "Crossbar",
-    "CrossbarFaultStudy",
-    "SymptomDetector",
-    "WarningNet",
-]
+#: Public name -> defining module; each is imported on first use.
+_EXPORTS = {
+    "Instruction": "isa",
+    "Opcode": "isa",
+    "Program": "isa",
+    "assemble": "assembler",
+    "AssemblyError": "assembler",
+    "CPU": "cpu",
+    "ExecutionResult": "cpu",
+    "CrashError": "cpu",
+    "programs": "programs",
+    "FaultInjector": "fault_injection",
+    "Outcome": "fault_injection",
+    "CampaignResult": "fault_injection",
+    "SteeredCampaignResult": "steering",
+    "SteeredUnitSource": "steering",
+    "SteeringConfig": "steering",
+    "run_steered_campaign": "steering",
+    "element_features": "vulnerability",
+    "vulnerability_table": "vulnerability",
+    "FIAccelerationStudy": "ml_fi_acceleration",
+    "ScalePredictionStudy": "scale_prediction",
+    "PatternMiner": "pattern_mining",
+    "build_instruction_graph": "sdc_prediction",
+    "SDCPredictor": "sdc_prediction",
+    "ReplicationStudy": "selective_replication",
+    "protect_program": "replication_transform",
+    "measure_protection": "replication_transform",
+    "MeasuredProtection": "replication_transform",
+    "Crossbar": "crossbar",
+    "CrossbarFaultStudy": "crossbar",
+    "SymptomDetector": "symptom_detection",
+    "WarningNet": "warning_net",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

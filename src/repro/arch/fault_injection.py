@@ -49,7 +49,7 @@ from repro import obs
 from repro.arch.cpu import CPU, STATE_ELEMENTS, CrashError
 from repro.arch.golden import GoldenTrace
 from repro.arch.isa import N_REGISTERS
-from repro.runtime import CampaignRunner
+from repro.runtime.runner import CampaignRunner
 
 #: Trial-execution engines: the batched engine and its oracle.
 ENGINES = ("batched", "reference")

@@ -60,7 +60,7 @@ class FIAccelerationStudy:
                 injector, n_trials_per_element=n_trials_per_element, seed=seed + p_idx
             )
             labels, _ = vulnerable_labels(table)
-            elements, X = element_features(program)
+            elements, X = element_features(program, injector.golden)
             for el, row in zip(elements, X):
                 self._X.append(row)
                 self._y.append(labels[el])

@@ -8,74 +8,45 @@ higher layers (:mod:`repro.circuit`, :mod:`repro.arch`, :mod:`repro.system`)
 can mix and match model families.
 """
 
-from repro.ml.preprocessing import (
-    StandardScaler,
-    MinMaxScaler,
-    train_test_split,
-    one_hot,
-    KFold,
-)
-from repro.ml.metrics import (
-    accuracy_score,
-    precision_score,
-    recall_score,
-    f1_score,
-    confusion_matrix,
-    mean_squared_error,
-    mean_absolute_error,
-    r2_score,
-)
-from repro.ml.linear import LinearRegression, RidgeRegression, LogisticRegression
-from repro.ml.knn import KNeighborsClassifier, KNeighborsRegressor
-from repro.ml.naive_bayes import GaussianNB
-from repro.ml.svm import LinearSVC
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
-from repro.ml.ensemble import (
-    RandomForestClassifier,
-    AdaBoostClassifier,
-    GradientBoostingClassifier,
-    GradientBoostingRegressor,
-)
-from repro.ml.mlp import MLPClassifier, MLPRegressor
-from repro.ml.cluster import KMeans
-from repro.ml.decomposition import PCA
-from repro.ml.gnn import GraphAttentionClassifier
-from repro.ml.compression import prune_mlp, quantize_mlp
-from repro.ml.metrics import roc_auc_score
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StandardScaler",
-    "MinMaxScaler",
-    "train_test_split",
-    "one_hot",
-    "KFold",
-    "accuracy_score",
-    "precision_score",
-    "recall_score",
-    "f1_score",
-    "confusion_matrix",
-    "mean_squared_error",
-    "mean_absolute_error",
-    "r2_score",
-    "LinearRegression",
-    "RidgeRegression",
-    "LogisticRegression",
-    "KNeighborsClassifier",
-    "KNeighborsRegressor",
-    "GaussianNB",
-    "LinearSVC",
-    "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
-    "RandomForestClassifier",
-    "AdaBoostClassifier",
-    "GradientBoostingClassifier",
-    "GradientBoostingRegressor",
-    "MLPClassifier",
-    "MLPRegressor",
-    "KMeans",
-    "PCA",
-    "GraphAttentionClassifier",
-    "prune_mlp",
-    "quantize_mlp",
-    "roc_auc_score",
-]
+#: Public name -> defining module; each is imported on first use.
+_EXPORTS = {
+    "StandardScaler": "preprocessing",
+    "MinMaxScaler": "preprocessing",
+    "train_test_split": "preprocessing",
+    "one_hot": "preprocessing",
+    "KFold": "preprocessing",
+    "accuracy_score": "metrics",
+    "precision_score": "metrics",
+    "recall_score": "metrics",
+    "f1_score": "metrics",
+    "confusion_matrix": "metrics",
+    "mean_squared_error": "metrics",
+    "mean_absolute_error": "metrics",
+    "r2_score": "metrics",
+    "LinearRegression": "linear",
+    "RidgeRegression": "linear",
+    "LogisticRegression": "linear",
+    "KNeighborsClassifier": "knn",
+    "KNeighborsRegressor": "knn",
+    "GaussianNB": "naive_bayes",
+    "LinearSVC": "svm",
+    "DecisionTreeClassifier": "tree",
+    "DecisionTreeRegressor": "tree",
+    "RandomForestClassifier": "ensemble",
+    "AdaBoostClassifier": "ensemble",
+    "GradientBoostingClassifier": "ensemble",
+    "GradientBoostingRegressor": "ensemble",
+    "MLPClassifier": "mlp",
+    "MLPRegressor": "mlp",
+    "KMeans": "cluster",
+    "PCA": "decomposition",
+    "GraphAttentionClassifier": "gnn",
+    "prune_mlp": "compression",
+    "quantize_mlp": "compression",
+    "roc_auc_score": "metrics",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -41,7 +41,15 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.obs.events import EventLog
+from repro._lazy import lazy_exports
+from repro.obs.events import (
+    EVENTS_FILENAME,
+    EventLog,
+    iter_events,
+    read_events,
+    trial_columns,
+    trial_rows,
+)
 from repro.obs.metrics import HistogramStat, MetricsRegistry, layer_of
 from repro.obs.trace import SpanNode, Tracer, span_shape
 
@@ -204,25 +212,24 @@ def absorb(snapshot):
     EVENTS.absorb(snapshot.get("events", ()))
 
 
-from repro.obs.record import (  # noqa: E402  (needs the state above)
-    RUN_RECORD_SCHEMA,
-    RunRecorder,
-    config_digest,
-    list_runs,
-    load_run_record,
-    resolve_record_path,
-    verify_record,
-)
-from repro.obs.report import layer_breakdown, render_report  # noqa: E402
-from repro.obs.diff import diff_records, render_diff  # noqa: E402
-from repro.obs.export import chrome_trace, prometheus_text  # noqa: E402
-from repro.obs.events import (  # noqa: E402
-    EVENTS_FILENAME,
-    iter_events,
-    read_events,
-    trial_columns,
-    trial_rows,
-)
+#: Run-record readers: public name -> defining module, imported on first
+#: use, so a process that only collects never loads them.
+_EXPORTS = {
+    "RUN_RECORD_SCHEMA": "record",
+    "RunRecorder": "record",
+    "config_digest": "record",
+    "list_runs": "record",
+    "load_run_record": "record",
+    "resolve_record_path": "record",
+    "verify_record": "record",
+    "layer_breakdown": "report",
+    "render_report": "report",
+    "diff_records": "diff",
+    "render_diff": "diff",
+    "chrome_trace": "export",
+    "prometheus_text": "export",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "TRACER",

@@ -51,92 +51,49 @@ See ``docs/campaigns.md`` for the user-facing guide and
 ``docs/observability.md`` for the observability layer.
 """
 
-from repro.runtime.cache import (
-    CACHE_VERSION,
-    CacheStats,
-    MISS,
-    ResultCache,
-    default_cache_dir,
-    stable_digest,
-)
-from repro.runtime.chaos import ChaosError, ChaosSpec, ChaosWorker
-from repro.runtime.manifest import CampaignManifest
-from repro.runtime.policy import (
-    DEFAULT_FAULT_POLICY,
-    FAIL_FAST_POLICY,
-    FaultPolicy,
-)
-from repro.runtime.runner import (
-    DEFAULT_CHUNK_SIZE,
-    CampaignRunner,
-    RunStats,
-    TrialChunk,
-    UnitTimeoutError,
-    chunk_bounds,
-)
-from repro.runtime.scheduler import CampaignScheduler, ChunkSource, ListSource
-from repro.runtime.seeding import (
-    trial_integers,
-    trial_rng,
-    trial_seed_sequence,
-)
-from repro.runtime.stats import (
-    hoeffding_halfwidth,
-    stratified_estimate,
-    wilson_halfwidth,
-    wilson_interval,
-)
-from repro.runtime.telemetry import (
-    ProgressEvent,
-    ProgressLog,
-    format_progress,
-    print_progress,
-)
-from repro.runtime.transports import (
-    InlineTransport,
-    TcpTransport,
-    Transport,
-    create_transport,
-    tcp_worker_main,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_VERSION",
-    "CacheStats",
-    "MISS",
-    "ResultCache",
-    "default_cache_dir",
-    "stable_digest",
-    "ChaosError",
-    "ChaosSpec",
-    "ChaosWorker",
-    "CampaignManifest",
-    "DEFAULT_FAULT_POLICY",
-    "FAIL_FAST_POLICY",
-    "FaultPolicy",
-    "DEFAULT_CHUNK_SIZE",
-    "CampaignRunner",
-    "CampaignScheduler",
-    "ChunkSource",
-    "ListSource",
-    "RunStats",
-    "TrialChunk",
-    "UnitTimeoutError",
-    "chunk_bounds",
-    "Transport",
-    "InlineTransport",
-    "TcpTransport",
-    "create_transport",
-    "tcp_worker_main",
-    "trial_integers",
-    "trial_rng",
-    "trial_seed_sequence",
-    "hoeffding_halfwidth",
-    "stratified_estimate",
-    "wilson_halfwidth",
-    "wilson_interval",
-    "ProgressEvent",
-    "ProgressLog",
-    "format_progress",
-    "print_progress",
-]
+#: Public name -> defining module; each is imported on first use.
+_EXPORTS = {
+    "CACHE_VERSION": "cache",
+    "CacheStats": "cache",
+    "MISS": "cache",
+    "ResultCache": "cache",
+    "default_cache_dir": "cache",
+    "stable_digest": "cache",
+    "ChaosError": "chaos",
+    "ChaosSpec": "chaos",
+    "ChaosWorker": "chaos",
+    "CampaignManifest": "manifest",
+    "DEFAULT_FAULT_POLICY": "policy",
+    "FAIL_FAST_POLICY": "policy",
+    "FaultPolicy": "policy",
+    "DEFAULT_CHUNK_SIZE": "scheduler",
+    "CampaignRunner": "runner",
+    "CampaignScheduler": "scheduler",
+    "ChunkSource": "scheduler",
+    "ListSource": "scheduler",
+    "RunStats": "runner",
+    "TrialChunk": "scheduler",
+    "UnitTimeoutError": "scheduler",
+    "chunk_bounds": "scheduler",
+    "Transport": "transports",
+    "InlineTransport": "transports",
+    "TcpTransport": "transports",
+    "create_transport": "transports",
+    "tcp_worker_main": "transports",
+    "trial_integers": "seeding",
+    "trial_rng": "seeding",
+    "trial_seed_sequence": "seeding",
+    "hoeffding_halfwidth": "stats",
+    "stratified_estimate": "stats",
+    "wilson_halfwidth": "stats",
+    "wilson_interval": "stats",
+    "ProgressEvent": "telemetry",
+    "ProgressLog": "telemetry",
+    "format_progress": "telemetry",
+    "print_progress": "telemetry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -69,12 +69,7 @@ from repro.runtime.scheduler import (  # noqa: F401  (re-exported API)
     UnitTimeoutError,
     chunk_bounds,
 )
-from repro.runtime.transports import (
-    InlineTransport,
-    TcpTransport,
-    Transport,
-    create_transport,
-)
+from repro.runtime.transports import InlineTransport, Transport, create_transport
 
 
 @dataclass
@@ -250,7 +245,7 @@ class CampaignRunner:
         # One job or fewer than two units never pays for workers.
         if self.jobs == 1 or len(source) < 2:
             return InlineTransport(), True
-        return TcpTransport(workers=self.jobs), True
+        return create_transport("tcp", workers=self.jobs), True
 
     def _execute(self, worker, source, base_key, unit_is_batch):
         stats = RunStats(

@@ -14,20 +14,26 @@ tcp       socket stream served to forked local workers and
 
 from __future__ import annotations
 
-from repro.runtime.transports.base import (
-    Task,
-    Transport,
-    TransportContext,
-    UnitOutcome,
-    execute_task_units,
-)
-from repro.runtime.transports.inline import LOCAL_WORKER, InlineTransport
-from repro.runtime.transports.tcp import TcpTransport, tcp_worker_main
+from repro._lazy import lazy_exports
 
-#: Registry of constructable transports by CLI/config name.
+#: Public name -> defining module; each is imported on first use.
+_EXPORTS = {
+    "Task": "base",
+    "Transport": "base",
+    "TransportContext": "base",
+    "UnitOutcome": "base",
+    "execute_task_units": "base",
+    "InlineTransport": "inline",
+    "LOCAL_WORKER": "inline",
+    "TcpTransport": "tcp",
+    "tcp_worker_main": "tcp",
+}
+
+#: Registry of constructable transports by CLI/config name: the exported
+#: class of each backend, whose module is imported when one is built.
 TRANSPORTS = {
-    "inline": InlineTransport,
-    "tcp": TcpTransport,
+    "inline": "InlineTransport",
+    "tcp": "TcpTransport",
 }
 
 
@@ -41,10 +47,11 @@ def create_transport(name, **kwargs):
     surfaces as a configuration error.
     """
     try:
-        factory = TRANSPORTS[name]
+        backend = TRANSPORTS[name]
     except KeyError:
         known = ", ".join(sorted(TRANSPORTS))
         raise ValueError(f"unknown transport {name!r} (choose from: {known})")
+    factory = __getattr__(backend)
     try:
         return factory(**kwargs)
     except TypeError as exc:
@@ -53,16 +60,5 @@ def create_transport(name, **kwargs):
         ) from exc
 
 
-__all__ = [
-    "Task",
-    "Transport",
-    "TransportContext",
-    "UnitOutcome",
-    "execute_task_units",
-    "InlineTransport",
-    "LOCAL_WORKER",
-    "TcpTransport",
-    "tcp_worker_main",
-    "TRANSPORTS",
-    "create_transport",
-]
+__all__ = [*_EXPORTS, "TRANSPORTS", "create_transport"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.arch import measure_protection
+from repro import obs
+from repro.arch import FIAccelerationStudy, measure_protection
 from repro.arch import programs as P
 from repro.arch.cpu import CPU
 from repro.arch.golden import GoldenTrace
@@ -48,6 +49,26 @@ def test_element_features_match_pins(program):
     pin = PINS["element_features"][program.name]
     assert elements == pin["elements"]
     assert X.tolist() == pin["X"]
+
+
+def test_acceleration_study_records_each_trace_once():
+    """The study's features read each injector's trace: one ``arch.golden``
+    span per program, and the pooled rows still equal the pins."""
+    programs = PROGRAMS[:2]
+
+    def count(node):
+        return node["count"] * (node["name"] == "arch.golden") + sum(
+            count(child) for child in node.get("children", ()))
+
+    try:
+        with obs.collecting():
+            study = FIAccelerationStudy(programs, n_trials_per_element=4)
+            spans = count(obs.span_tree())
+    finally:
+        obs.reset()
+    assert spans == len(programs)
+    assert study._X.tolist() == [
+        row for p in programs for row in PINS["element_features"][p.name]["X"]]
 
 
 @pytest.mark.parametrize("name, protected, n_trials, seed", [
