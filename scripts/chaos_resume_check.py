@@ -8,7 +8,7 @@ Runs the same small fault-injection campaign three ways:
    :class:`repro.runtime.ChaosWorker` so some units crash the worker
    process outright and others raise, and the campaign is interrupted by
    a real ``SIGINT`` partway through.  Completed units are journaled in
-   the campaign manifest as they finish;
+   the result cache's campaign journal as they finish;
 3. **resume** — the same campaign is re-launched with ``resume=True`` on
    the same cache (chaos still active), replays the journal, finishes
    the remainder, and must match the reference **bit for bit**.
@@ -65,7 +65,7 @@ def _run(jobs, trials, cache, *, chaos_dir=None, resume=False, progress=None,
         wrapper = lambda worker: ChaosWorker(worker, CHAOS, chaos_dir)  # noqa: E731
     if steer:
         # The steered campaign journals adaptive rounds in the same
-        # manifest; round sealing replays on_result from cache hits, so
+        # store; round sealing replays on_result from cache hits, so
         # the resumed run must regenerate the exact same rounds.
         result = injector.run_steered_campaign(
             budget=trials, seed=0, jobs=jobs, cache=cache,
@@ -126,11 +126,13 @@ def check(jobs, trials, workdir, record_dir, steer=False):
     if not interrupted:
         print("FAIL: SIGINT did not interrupt the chaos campaign", file=sys.stderr)
         return 1
-    manifests = list((chaos_cache.path / "manifests").glob("*.jsonl"))
-    if not manifests:
-        print("FAIL: interrupt left no campaign manifest behind", file=sys.stderr)
+    # Ask a fresh reader of the store, so the marker must be on disk.
+    journaled = ResultCache(chaos_cache.path).interrupted()
+    if len(journaled) != 1:
+        print("FAIL: interrupt left no journaled interrupt marker behind",
+              file=sys.stderr)
         return 1
-    print(f"  interrupted after SIGINT; manifest: {manifests[0].name}")
+    print(f"  interrupted after SIGINT; journaled campaign: {journaled[0][:16]}")
 
     # Leg 3: resume on the same cache, chaos still active.
     resumed, stats = _record_run(

@@ -12,7 +12,7 @@ ones over the ``tcp`` transport:
    the survivor finishes the campaign, which must match the reference
    **bit for bit**;
 3. **interrupt** — a fresh distributed campaign is cut down by a real
-   ``SIGINT`` partway through, leaving a partial manifest behind;
+   ``SIGINT`` partway through, leaving a partial journal behind;
 4. **resume** — the interrupted campaign is re-launched with
    ``resume=True`` on the same cache, replays the journal, finishes the
    remainder, and must also match the reference bit for bit.
@@ -202,12 +202,13 @@ def _resume_leg(trials, workdir, ref_digest):
         print("FAIL: SIGINT did not interrupt the tcp campaign",
               file=sys.stderr)
         return 1
-    manifests = list((cache.path / "manifests").glob("*.jsonl"))
-    if not manifests:
-        print("FAIL: interrupt left no campaign manifest behind",
+    # Ask a fresh reader of the store, so the marker must be on disk.
+    journaled = ResultCache(cache.path).interrupted()
+    if len(journaled) != 1:
+        print("FAIL: interrupt left no journaled interrupt marker behind",
               file=sys.stderr)
         return 1
-    print(f"  interrupted after SIGINT; manifest: {manifests[0].name}")
+    print(f"  interrupted after SIGINT; journaled campaign: {journaled[0][:16]}")
 
     transport = _make_transport(workers=2)
     try:

@@ -47,7 +47,7 @@ campaigns across ``jobs``, ``chunk_size``, and transports — and a
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -188,7 +188,7 @@ class SteeredUnitSource:
     ``available``, ``exhausted``).  The *unit layout* — how many rounds,
     their sizes, their chunk boundaries — is a pure function of the
     config, so ``__len__`` and every ``key(i)`` are known up front and
-    the manifest journal stays resume-compatible; only the coordinates
+    the campaign journal stays resume-compatible; only the coordinates
     inside each chunk are decided adaptively, at round-seal time, from
     committed outcomes alone.
 
@@ -242,8 +242,6 @@ class SteeredUnitSource:
                     self._strata.append((e, b))
                     self._pools.append(pool)
         sizes = [len(pool) for pool in self._pools]
-        self._stratum_index = {s: k for k, s in enumerate(self._strata)}
-        self._element_index = {e: k for k, e in enumerate(self.elements)}
         # ``live_mass`` is the live strata's share of the uniform measure;
         # ``_q`` renormalises them to sum to 1 (the estimate scales back).
         total = sum(sizes)
@@ -263,6 +261,7 @@ class SteeredUnitSource:
 
         # Adaptive state.
         self._chunks = []  # CoordChunk per generated unit, unit order
+        self._chunk_strata = []  # per generated unit: each coord's stratum
         self._committed = []  # per generated unit
         self._next_commit = 0  # sealed prefix pointer
         self._rounds_generated = 0
@@ -346,8 +345,9 @@ class SteeredUnitSource:
         if self._committed[i]:
             return
         self._committed[i] = True
-        for record in records:
-            s = self._locate(record.cycle, record.element)
+        # Records come back in coordinate order, so each one tallies into
+        # the stratum that generated its coordinate.
+        for s, record in zip(self._chunk_strata[i], records):
             failed = record.outcome in _FAILURE_OUTCOMES
             self._n_s[s] += 1
             self._f_s[s] += failed
@@ -360,16 +360,6 @@ class SteeredUnitSource:
                and self._next_commit
                >= self._round_end_unit[self._rounds_sealed]):
             self._seal_round()
-
-    def _locate(self, cycle, element):
-        # Invert the *generation* partition: ``_phase_bounds`` is a floor
-        # partition, so when ``golden_cycles % bins != 0`` the naive
-        # ``cycle * bins // golden_cycles`` disagrees with it and tallies
-        # land in the wrong stratum.
-        e = self._element_index[element]
-        b = bisect.bisect_right(self._phase_bounds, cycle) - 1
-        b = min(max(b, 0), self._bins - 1)
-        return self._stratum_index[(e, b)]
 
     # -- round sealing ---------------------------------------------------
     def _seal_round(self):
@@ -481,13 +471,21 @@ class SteeredUnitSource:
         size = self._round_sizes[r]
         rng = self._round_rng(r)
         coords = []
+        strata = []
         if cfg.mode == "uniform":
             cycles = rng.integers(0, self.golden_cycles, size=size)
             els = rng.integers(0, len(self.elements), size=size)
             bits = rng.integers(0, 32, size=size)
+            # Every (element, phase) stratum exists in uniform mode, in
+            # element-major order; the phase inverts the floor partition
+            # ``_phase_bounds`` (not ``cycle * bins // golden_cycles``,
+            # which disagrees with it when the bins are uneven).
+            phase = np.searchsorted(self._phase_bounds, cycles, side="right") - 1
+            strata = (els * self._bins + phase).tolist()
+            names = self.elements
             coords = [
-                (int(c), self.elements[int(e)], int(b))
-                for c, e, b in zip(cycles, els, bits)
+                (c, names[e], b)
+                for c, e, b in zip(cycles.tolist(), els.tolist(), bits.tolist())
             ]
         else:
             for s, n in enumerate(self._allocation(r, size)):
@@ -497,16 +495,14 @@ class SteeredUnitSource:
                 pool = self._pools[s]
                 cycles = pool[rng.integers(0, len(pool), size=n)]
                 bits = rng.integers(0, 32, size=n)
-                element = self.elements[e]
-                coords.extend(
-                    (int(c), element, int(bit))
-                    for c, bit in zip(cycles, bits)
-                )
+                element = itertools.repeat(self.elements[e])
+                coords.extend(zip(cycles.tolist(), element, bits.tolist()))
+                strata.extend(itertools.repeat(s, n))
         self._rounds_generated += 1
         for start in range(0, size, cfg.chunk_size):
-            self._chunks.append(
-                CoordChunk(coords=tuple(coords[start:start + cfg.chunk_size]))
-            )
+            stop = start + cfg.chunk_size
+            self._chunks.append(CoordChunk(coords=tuple(coords[start:stop])))
+            self._chunk_strata.append(strata[start:stop])
             self._committed.append(False)
 
     # -- reporting -------------------------------------------------------

@@ -205,7 +205,7 @@ def iter_events(path):
     """Yield parsed events from an ``events.jsonl`` file, oldest first.
 
     Tolerates a torn tail (a truncated final line from a killed writer)
-    by stopping at the first unparsable line — the manifest journal's
+    by stopping at the first unparsable line — the result cache's torn-tail
     rule, applied to the event stream.
     """
     with open(path) as fh:

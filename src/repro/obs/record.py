@@ -202,7 +202,7 @@ def load_run_record(path):
 
     A torn tail — a truncated final JSONL line left by a killed or
     out-of-disk writer — is tolerated with a warning, mirroring the
-    campaign manifest's rule: every line that parsed is kept, reading
+    result cache's torn-tail rule: every line that parsed is kept, reading
     stops at the first line that does not.
     """
     record_path, _ = resolve_record_path(path)

@@ -11,15 +11,18 @@ they all share:
     (``SeedSequence(entropy=seed, spawn_key=(i,))``) so parallel and
     serial runs are bit-identical.
 :mod:`repro.runtime.cache`
-    Digest-addressed on-disk result cache so re-running a sweep only
-    executes new points.
+    Digest-addressed result cache so re-running a sweep only executes
+    new points, plus the campaign journal (:class:`CampaignManifest`)
+    that makes ``--resume`` a bit-identical continuation of an
+    interrupted campaign; both are frames in per-writer append-only
+    segment files.
 :mod:`repro.runtime.runner`
     :class:`CampaignRunner` — the public campaign API: chunked fan-out
     with a serial fallback for ``jobs=1`` and non-picklable workloads.
 :mod:`repro.runtime.scheduler`
     :class:`CampaignScheduler` — the async control loop behind the
     runner: lazy unit admission, adaptive task sizing, retries, leases,
-    and the manifest journal, over a pluggable transport.
+    and the campaign journal, over a pluggable transport.
 :mod:`repro.runtime.transports`
     The execution backends: ``inline`` (serial reference) and ``tcp``
     (a socket served to forked local workers and to independent
@@ -29,10 +32,6 @@ they all share:
     with deterministically jittered exponential backoff, and requeue
     caps for units whose workers keep dying, so the harness survives
     the faults this repo exists to study.
-:mod:`repro.runtime.manifest`
-    :class:`CampaignManifest` — append-only journal of completed units
-    on top of the result cache; what makes ``--resume`` a first-class,
-    bit-identical continuation of an interrupted campaign.
 :mod:`repro.runtime.chaos`
     :class:`ChaosWorker` — deterministic injection of worker crashes,
     deaths, hangs, and slowdowns for tests and the ``chaos-resume`` CI
@@ -57,6 +56,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "CACHE_VERSION": "cache",
     "CacheStats": "cache",
+    "CampaignManifest": "cache",
     "MISS": "cache",
     "ResultCache": "cache",
     "default_cache_dir": "cache",
@@ -64,7 +64,6 @@ _EXPORTS = {
     "ChaosError": "chaos",
     "ChaosSpec": "chaos",
     "ChaosWorker": "chaos",
-    "CampaignManifest": "manifest",
     "DEFAULT_FAULT_POLICY": "policy",
     "FAIL_FAST_POLICY": "policy",
     "FaultPolicy": "policy",

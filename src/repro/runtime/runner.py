@@ -31,9 +31,8 @@ exceeding their wall-clock budget after a worker claimed them are
 declared hung and retried (a local worker holding one is killed and
 replaced); a dead worker (segfault, OOM kill) is replaced and its units
 requeue, up to ``max_requeues`` losses per unit.  Completed units are
-journaled through the cache plus a
-:class:`~repro.runtime.manifest.CampaignManifest` (under
-``<cache.path>/manifests``), both written by the scheduler alone — the
+stored and journaled in the cache's append-only segment files (see
+:mod:`repro.runtime.cache`), written by the scheduler alone — the
 single source of truth — so an interrupted campaign resumes where it
 left off and finishes bit-identical to an undisturbed run, no matter
 how many workers died underneath it.  All of it surfaces
@@ -120,7 +119,7 @@ class CampaignRunner:
         constant across runs that should share cache entries.
     cache:
         Optional :class:`~repro.runtime.cache.ResultCache`; ``None``
-        disables memoization (and with it the campaign manifest, so
+        disables memoization (and with it the campaign journal, so
         interrupted runs are not resumable).
     progress:
         Optional callback receiving one
@@ -136,9 +135,9 @@ class CampaignRunner:
         Defaults to :data:`~repro.runtime.policy.DEFAULT_FAULT_POLICY`.
     resume:
         Declare this run a resume of an interrupted campaign: requires
-        ``cache``, replays the campaign manifest, and accounts replayed
+        ``cache``, replays the campaign's journal, and accounts replayed
         units in :attr:`RunStats.journaled_units`.  A resume of a
-        campaign that never started (no manifest) simply runs fresh.
+        campaign that never started (no journal) simply runs fresh.
     transport:
         Execution backend: a registry name (``"inline"``, ``"tcp"``), a
         :class:`~repro.runtime.transports.base.Transport` instance

@@ -3,10 +3,10 @@
 :class:`CampaignScheduler` is the single control loop behind
 :class:`~repro.runtime.runner.CampaignRunner`.  It owns everything that
 must survive worker churn — unit generation, the cache scan, the
-manifest journal, retry/backoff state, wall-clock deadlines, the outcome
-histogram — and drives a pluggable
-:class:`~repro.runtime.transports.base.Transport` that owns only
-execution.  The loop:
+campaign journal (frames in the result cache's segments), retry/backoff
+state, wall-clock deadlines, the outcome histogram — and drives a
+pluggable :class:`~repro.runtime.transports.base.Transport` that owns
+only execution.  The loop:
 
 1. **admit** — pull the next units from a lazy :class:`UnitSource`
    (never materializing a 10M-unit campaign), compute their digests,
@@ -23,9 +23,9 @@ execution.  The loop:
    monolithic runner produced: retries with deterministic backoff,
    timeout/lease expiry, worker respawn accounting, progress events.
 
-Because the scheduler alone writes the result cache and journals
-through the manifest (workers only execute), a campaign completes
-bit-identically to the inline reference no matter how many workers
+Because the scheduler alone writes the result cache and its campaign
+journal (workers only execute), a campaign completes bit-identically
+to the inline reference no matter how many workers
 died along the way — surviving workers alone, or a ``--resume`` after
 killing everything, finish the same records.
 """
@@ -44,7 +44,6 @@ import numpy as np
 
 from repro import obs
 from repro.runtime.cache import MISS, stable_digest
-from repro.runtime.manifest import CampaignManifest
 from repro.runtime.seeding import trial_integers, trial_seed_sequence
 from repro.runtime.telemetry import ProgressEvent
 from repro.runtime.transports import InlineTransport, TransportContext
@@ -264,7 +263,8 @@ class CampaignScheduler:
         self._workers_seen = {}  # worker id -> last heartbeat payload
         self._done_trials = 0
         self._started = None
-        self._manifest = None
+        self._journal = None
+        self._key = None  # unit key -> cache digest, hashing base_key once
 
     # -- small helpers ---------------------------------------------------
     @property
@@ -312,17 +312,17 @@ class CampaignScheduler:
                 workers=dict(self._workers_seen),
             ))
 
-    def _open_manifest(self):
+    def _open_journal(self):
         """The campaign's journal, or ``None`` when no cache is attached."""
         if self.cache is None:
             return None
-        campaign_digest = stable_digest("campaign", self.base_key, self._n)
-        manifest = CampaignManifest.open(
-            self.cache.path / "manifests", campaign_digest, self._n
+        self._key = self.cache.keyer(self.base_key)
+        journal = self.cache.journal(
+            stable_digest("campaign", self.base_key, self._n)
         )
-        if self.resume and manifest.completed:
+        if self.resume and journal.completed:
             obs.inc("runtime.fault.resumed")
-        return manifest
+        return journal
 
     def _register_failure(self, i, exc):
         """Account one failed attempt; re-raise when retries are spent.
@@ -370,11 +370,10 @@ class CampaignScheduler:
             self._cursor += 1
             w = self.source.weight(i)
             if self.cache is not None:
-                digest = self.cache.key(self.base_key, self.source.key(i))
+                digest = self._key(self.source.key(i))
                 value = self.cache.get(digest)
                 if value is not MISS:
-                    journaled = (self._manifest is not None
-                                 and digest in self._manifest)
+                    journaled = digest in self._journal
                     obs.emit("cache.hit", unit=i, trials=w, journaled=journaled)
                     self._observe(i, value)
                     stats.cached_trials += w
@@ -485,9 +484,8 @@ class CampaignScheduler:
         self._items.pop(i, None)
         if self.cache is not None and digest is not None:
             self.cache.put(digest, outcome.value)
-        if (self._manifest is not None and digest is not None
-                and digest not in self._manifest):
-            self._manifest.mark(digest, attempts=self._attempts.get(i, 0))
+            if digest not in self._journal:
+                self._journal.mark(digest, attempts=self._attempts.get(i, 0))
         self._emit_progress()
 
     def _handle_outcomes(self, outcomes):
@@ -657,7 +655,7 @@ class CampaignScheduler:
         # runs, so progress events report this run's deltas only.
         self._hits0 = self.cache.stats.hits if self.cache is not None else 0
         self._misses0 = self.cache.stats.misses if self.cache is not None else 0
-        self._manifest = self._open_manifest()
+        self._journal = self._open_journal()
         self._ctx = TransportContext(worker=self.worker, collect=obs.enabled())
         stats.transport = self.transport.name
         try:
@@ -692,13 +690,11 @@ class CampaignScheduler:
             with contextlib.suppress(Exception):
                 self._close_transport()
             if isinstance(exc, KeyboardInterrupt):
-                if self._manifest is not None:
-                    self._manifest.note_interrupt()
+                if self._journal is not None:
+                    self._journal.note_interrupt()
                 obs.inc("runtime.fault.interrupted")
             raise
         finally:
-            if self._manifest is not None:
-                self._manifest.close()
             stats.elapsed_s = time.perf_counter() - self._started
             stats.cache_hits, stats.cache_misses = self._cache_deltas()
             stats.workers = dict(self._workers_seen)

@@ -1,7 +1,7 @@
 """Transport interface: how campaign tasks travel to execution and back.
 
 The :class:`~repro.runtime.scheduler.CampaignScheduler` owns *what* runs
-(unit admission, retries, timeouts, the manifest journal, the outcome
+(unit admission, retries, timeouts, the campaign journal, the outcome
 histogram); a :class:`Transport` owns *where* it runs.  The split keeps
 every fault-tolerance decision in one process — the scheduler — while
 execution backends stay swappable:
@@ -25,7 +25,7 @@ raises nothing across the boundary: worker failures come back as
 lifecycle facts (worker respawned, task claimed, worker heartbeat)
 come back as plain signal dicts the scheduler translates into metrics,
 events, and policy decisions.  Transports therefore never touch the
-retry budget, the manifest, or the result accounting — kill a backend
+retry budget, the journal, or the result accounting — kill a backend
 mid-run and the scheduler still knows exactly which units are
 outstanding.
 """

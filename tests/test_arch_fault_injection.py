@@ -70,24 +70,6 @@ class TestFaultInjector:
             empty.rates()
 
 
-def _old_format_pickle(records, monkeypatch):
-    """``records`` pickled as cache version 1 stored them.
-
-    Version 1 records had a ``__dict__``, so each pickled as its own
-    object with a dict state under the same class name.
-    """
-    from repro.arch import fault_injection
-
-    old = dataclasses.make_dataclass(
-        "InjectionRecord",
-        [(f.name, f.type, f) for f in dataclasses.fields(fault_injection.InjectionRecord)],
-    )
-    old.__module__ = fault_injection.__name__
-    with monkeypatch.context() as patch:
-        patch.setattr(fault_injection, "InjectionRecord", old)
-        return pickle.dumps([old(*dataclasses.astuple(r)) for r in records])
-
-
 class TestRecords:
     def test_record_is_slotted_and_mutable(self, campaign):
         record = dataclasses.replace(campaign.records[0])
@@ -121,26 +103,22 @@ class TestRecords:
         assert back[0].outcome is Outcome.HANG
         assert pickle.loads(pickle.dumps(injector.inject_many([]))) == []
 
-    def test_version_1_entries_re_execute(self, tmp_path, monkeypatch):
+    def test_version_2_entries_re_execute(self, tmp_path, monkeypatch):
         from repro.runtime import ResultCache
         from repro.runtime import cache as cache_module
 
         injector = FaultInjector(P.fibonacci(8))
         uncached = injector.run_campaign(n_trials=64, seed=4, chunk_size=32)
-        # Write both chunks under their version-1 keys, in the old format.
+        # Store both chunks as version-2 frames; version 2 reads them back.
         with monkeypatch.context() as patch:
-            patch.setattr(cache_module, "CACHE_VERSION", 1)
+            patch.setattr(cache_module, "CACHE_VERSION", 2)
             injector.run_campaign(
                 n_trials=64, seed=4, chunk_size=32,
                 cache=ResultCache(tmp_path),
             )
-        entries = sorted(tmp_path.glob("*.pkl"))
-        assert len(entries) == 2
-        for entry in entries:
-            old = _old_format_pickle(pickle.loads(entry.read_bytes()), monkeypatch)
-            with pytest.raises(AttributeError):
-                pickle.loads(old)  # what a version-1 key would read back
-            entry.write_bytes(old)
+            v2 = ResultCache(tmp_path)
+            injector.run_campaign(n_trials=64, seed=4, chunk_size=32, cache=v2)
+            assert v2.stats.hits == 2
 
         cache = ResultCache(tmp_path)
         result = injector.run_campaign(n_trials=64, seed=4, chunk_size=32,

@@ -1,5 +1,8 @@
 """Tests for the parallel campaign runtime (repro.runtime)."""
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -91,11 +94,71 @@ class TestResultCache:
         with pytest.raises(TypeError):
             stable_digest(object())
 
-    def test_torn_entry_is_a_miss(self, tmp_path):
+    def test_keyer_matches_stable_digest(self, tmp_path):
         cache = ResultCache(tmp_path)
-        digest = cache.key("x")
-        (tmp_path / f"{digest}.pkl").write_bytes(b"not a pickle")
-        assert cache.get(digest) is MISS
+        bases = [("toy",), {"b": 1.5, "a": [b"\x00", None, True]}, [], "s"]
+        units = [("chunk", 0, 32), {"z": 0.1, "y": (1, 2)}, 7, None]
+        for base in bases:
+            keyer = cache.keyer(base)
+            for unit in units:
+                assert keyer(unit) == stable_digest(base, unit)
+                assert keyer(unit) == cache.key(base, unit)
+
+    def test_torn_entry_is_a_miss(self, tmp_path):
+        # A frame whose payload fails its CRC reads as a miss (an error);
+        # the frames around it still hit.
+        cache = ResultCache(tmp_path)
+        for i in range(3):
+            cache.put(f"d{i}", f"value-{i}")
+        (segment,) = _segments(tmp_path)
+        data = bytearray(segment.read_bytes())
+        at = data.index(pickle.dumps("value-1")) + 5
+        data[at] ^= 0xFF
+        segment.write_bytes(bytes(data))
+        reader = ResultCache(tmp_path)
+        assert reader.get("d0") == "value-0"
+        assert reader.get("d1") is MISS
+        assert reader.get("d2") == "value-2"
+        assert reader.stats.as_dict() == {
+            "hits": 2, "misses": 1, "writes": 0, "errors": 1,
+        }
+
+    def test_truncated_last_frame_is_a_miss(self, tmp_path):
+        # A writer killed inside its last append leaves a torn tail.
+        cache = ResultCache(tmp_path)
+        cache.put("d0", [0])
+        cache.put("d1", [1])
+        (segment,) = _segments(tmp_path)
+        os.truncate(segment, segment.stat().st_size - 3)
+        reader = ResultCache(tmp_path)
+        assert reader.get("d0") == [0]
+        assert reader.get("d1") is MISS
+        assert len(reader) == 1
+        reader.put("d1", [1])  # re-executed: lands in the reader's segment
+        assert ResultCache(tmp_path).get("d1") == [1]
+        assert len(_segments(tmp_path)) == 2
+
+    def test_put_creates_no_file_once_segment_exists(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("first", 0)
+        entries = sorted(os.listdir(tmp_path))
+        assert len(entries) == 1
+        for i in range(10):
+            cache.put(f"d{i}", i)
+            assert sorted(os.listdir(tmp_path)) == entries
+        assert all(cache.get(f"d{i}") == i for i in range(10))
+
+    def test_unwritable_directory_makes_put_a_noop(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        cache = ResultCache(blocker / "cache")
+        cache.put("d0", 1)
+        cache.put("d1", 2)
+        assert cache.stats.as_dict() == {
+            "hits": 0, "misses": 0, "writes": 0, "errors": 2,
+        }
+        assert cache.get("d0") is MISS
+        assert len(cache) == 0
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -104,6 +167,14 @@ class TestResultCache:
         assert len(cache) == 3
         assert cache.clear() == 3
         assert len(cache) == 0
+        assert _segments(tmp_path) == []
+        assert len(ResultCache(tmp_path)) == 0
+        cache.put(cache.key(0), 0)  # still usable: a new segment
+        assert ResultCache(tmp_path).get(cache.key(0)) == 0
+
+
+def _segments(path):
+    return sorted(path.glob("*.seg"))
 
 
 class TestCampaignRunner:

@@ -1,15 +1,18 @@
 """Fault tolerance of the campaign runtime: retries, timeouts, respawns,
-chaos injection, and checkpoint/resume (repro.runtime.{policy,chaos,
-manifest} + the runner's recovery paths)."""
+chaos injection, and checkpoint/resume (repro.runtime.{policy,chaos}, the
+campaign journal in repro.runtime.cache, and the runner's recovery
+paths)."""
 
+import multiprocessing
+import os
 import pickle
+import signal
 import time
 
 import pytest
 
 from repro import obs
 from repro.runtime import (
-    CampaignManifest,
     CampaignRunner,
     ChaosError,
     ChaosSpec,
@@ -298,47 +301,76 @@ class TestResume:
             CampaignRunner(
                 jobs=1, chunk_size=7, cache=cache, progress=_InterruptAfter(2),
             ).run_trials(_draw_chunk, 70, seed=5)
-        manifests = list((tmp_path / "cache" / "manifests").glob("*.jsonl"))
-        assert len(manifests) == 1
-        assert '"interrupt"' in manifests[0].read_text()
+        # The marker is on disk: a fresh reader of the store sees it.
+        assert len(ResultCache(tmp_path / "cache").interrupted()) == 1
+        # Values and journal share the campaign's one segment file.
+        assert len(os.listdir(tmp_path / "cache")) == 1
+
+    def test_sigkilled_writer_resumes_bit_identically(self, tmp_path):
+        reference = _reference(n_trials=90, chunk_size=9)
+        child = multiprocessing.get_context("fork").Process(
+            target=_run_until_killed, args=(tmp_path / "cache",)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == -signal.SIGKILL
+        (segment,) = (tmp_path / "cache").glob("*.seg")
+        with open(segment, "ab") as fh:
+            fh.write(segment.read_bytes()[:20])  # killed inside an append
+        resumed = CampaignRunner(jobs=1, chunk_size=9,
+                                 cache=ResultCache(tmp_path / "cache"),
+                                 resume=True)
+        assert resumed.run_trials(_draw_chunk, 90, seed=5) == reference
+        assert resumed.stats.journaled_units > 0
+        assert resumed.stats.units_executed > 0
+
+
+class _KillAfter:
+    def __init__(self, n):
+        self.n = n
+
+    def __call__(self, event):
+        self.n -= 1
+        if self.n <= 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _run_until_killed(cache_dir):
+    CampaignRunner(
+        jobs=1, chunk_size=9, cache=ResultCache(cache_dir),
+        progress=_KillAfter(4),
+    ).run_trials(_draw_chunk, 90, seed=5)
 
 
 class TestCampaignManifest:
     def test_replay_round_trip(self, tmp_path):
-        manifest = CampaignManifest.open(tmp_path, "deadbeef", 3)
-        manifest.mark("u1", attempts=0)
-        manifest.mark("u2", attempts=2)
-        manifest.close()
-        replayed = CampaignManifest.open(tmp_path, "deadbeef", 3)
+        journal = ResultCache(tmp_path).journal("deadbeef")
+        journal.mark("u1", attempts=0)
+        journal.mark("u2", attempts=2)
+        replayed = ResultCache(tmp_path).journal("deadbeef")
         assert replayed.completed == {"u1": 0, "u2": 2}
-        assert not replayed.complete
-        assert sum(d in replayed.completed for d in ["u1", "u2", "u3"]) == 2
+        assert sum(d in replayed for d in ["u1", "u2", "u3"]) == 2
+        assert not ResultCache(tmp_path).journal("other").completed
 
     def test_interrupt_marker_survives_replay(self, tmp_path):
-        manifest = CampaignManifest.open(tmp_path, "feed", 2)
-        manifest.mark("u1")
-        manifest.note_interrupt()
-        manifest.close()
-        replayed = CampaignManifest.open(tmp_path, "feed", 2)
+        journal = ResultCache(tmp_path).journal("feed")
+        journal.mark("u1")
+        journal.note_interrupt()
+        replayed = ResultCache(tmp_path).journal("feed")
         assert replayed.interrupted
-        replayed.mark("u2")
+        assert ResultCache(tmp_path).interrupted() == ["feed"]
+        replayed.mark("u2")  # a resumed run, in its own segment
         assert not replayed.interrupted
-        assert replayed.complete
+        assert ResultCache(tmp_path).interrupted() == []
+        assert ResultCache(tmp_path).journal("feed").completed == {
+            "u1": 0, "u2": 0,
+        }
 
     def test_torn_tail_is_tolerated(self, tmp_path):
-        manifest = CampaignManifest.open(tmp_path, "cafe", 4)
-        manifest.mark("u1")
-        manifest.close()
-        with open(manifest.path, "a") as fh:
-            fh.write('{"type": "unit", "digest": "u2"')  # torn: no newline/close
-        replayed = CampaignManifest.open(tmp_path, "cafe", 4)
+        journal = ResultCache(tmp_path).journal("cafe")
+        journal.mark("u1")
+        journal.mark("u2")
+        (segment,) = tmp_path.glob("*.seg")
+        os.truncate(segment, segment.stat().st_size - 1)  # torn last frame
+        replayed = ResultCache(tmp_path).journal("cafe")
         assert replayed.completed == {"u1": 0}
-
-    def test_mismatched_header_rotates(self, tmp_path):
-        manifest = CampaignManifest.open(tmp_path, "aaaa", 4)
-        manifest.mark("u1")
-        manifest.close()
-        # Same file name, different declared unit count: stale journal.
-        reopened = CampaignManifest.open(tmp_path, "aaaa", 9)
-        assert reopened.completed == {}
-        assert manifest.path.with_suffix(".jsonl.stale").exists()

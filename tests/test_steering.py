@@ -308,26 +308,48 @@ class TestSteeredUnitSource:
             with pytest.raises(ValueError):
                 SteeringConfig(**bad).validate()
 
-    def test_locate_inverts_generation_bounds_when_bins_uneven(self):
+    def test_tallies_land_in_generating_stratum_when_bins_uneven(self):
         # Regression: golden_cycles=10, phase_bins=4 gives the floor
-        # partition [0, 2, 5, 7, 10].  The old ``cycle * bins //
-        # golden_cycles`` locate disagreed with it (cycles 2 and 7
-        # tallied into strata 0/2 instead of 1/3), biasing the
-        # post-stratified estimate and crashing the round-0 seal.
-        cfg = SteeringConfig(round_trials=16,
-                             chunk_size=8, early_stop=False)
-        source = SteeredUnitSource(
-            seed=5, budget=40, elements=["a", "b"], golden_cycles=10,
-            config=cfg,
-        )
-        assert source._phase_bounds == [0, 2, 5, 7, 10]
-        for cycle in range(10):
-            for e, element in enumerate(source.elements):
-                s = source._locate(cycle, element)
-                se, b = source._strata[s]
-                assert se == e
-                lo, hi = source._phase_bounds[b], source._phase_bounds[b + 1]
-                assert lo <= cycle < hi
+        # partition [0, 2, 5, 7, 10].  A ``cycle * bins // golden_cycles``
+        # inversion disagreed with it (cycles 2 and 7 tallied into strata
+        # 0/2 instead of 1/3), biasing the post-stratified estimate and
+        # crashing the round-0 seal.  Every committed trial must count in
+        # the stratum whose element and phase bounds hold its coordinate.
+        for mode in ("steered", "uniform"):
+            cfg = SteeringConfig(mode=mode, round_trials=16,
+                                 chunk_size=8, early_stop=False)
+            source = SteeredUnitSource(
+                seed=5, budget=40, elements=["a", "b"], golden_cycles=10,
+                config=cfg,
+            )
+            assert source._phase_bounds == [0, 2, 5, 7, 10]
+            coords = []
+            i = 0
+            while i < source.available():  # sealing a round adds the next
+                chunk = source.item(i).coords
+                i += 1
+                coords += chunk
+                source.on_result(i - 1, [
+                    SimpleNamespace(
+                        cycle=c, element=e,
+                        outcome=Outcome.SDC if c % 2 else Outcome.MASKED,
+                    )
+                    for c, e, _ in chunk
+                ])
+            bounds = source._phase_bounds
+            expect_n = [0] * len(source._strata)
+            expect_f = [0] * len(source._strata)
+            for c, element, _ in coords:
+                e = source.elements.index(element)
+                hits = [k for k, (se, b) in enumerate(source._strata)
+                        if se == e and bounds[b] <= c < bounds[b + 1]]
+                assert len(hits) == 1
+                expect_n[hits[0]] += 1
+                expect_f[hits[0]] += c % 2
+            assert source._n_s == expect_n, mode
+            assert source._f_s == expect_f, mode
+            assert sum(expect_n) == len(coords) == 40
+            assert {2, 7} <= {c for c, _, _ in coords}  # the uneven edges
 
     def test_seal_survives_uneven_bins(self):
         # End-to-end shape of the crash in the regression above: commit
